@@ -62,7 +62,6 @@ void usage(std::ostream& os) {
         "  --quick             small smoke budget\n"
         "  --exhaustive        depth-2 full cross product, dedup on\n"
         "  --dedup/--no-dedup  equivalence-class dedup (record mode)\n"
-        "  --naive             cost out naive re-run-from-zero (bench)\n"
         "  --shard i/N         run slice i of an N-way unit partition\n"
         "  --frontier FILE     checkpoint/resume frontier file\n"
         "  --checkpoint N      units per frontier checkpoint (default 16)\n"
@@ -284,8 +283,6 @@ int main(int argc, char** argv) {
       cfg.dedup = true;
     } else if (arg == "--no-dedup") {
       cfg.dedup = false;
-    } else if (arg == "--naive") {
-      cfg.naive_rerun = true;
     } else if (arg == "--shard") {
       if (!campaign::parse_shard(next("--shard"), cfg.shard_index,
                                  cfg.shard_count)) {

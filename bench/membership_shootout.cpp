@@ -1,11 +1,11 @@
 // Membership shootout: CANELy vs SWIM vs gossip vs Rapid-style cut
 // detection (DESIGN.md §13, EXPERIMENTS.md "Membership shootout").
 //
-// Each protocol runs on its natural medium through the shared Transport
-// seam: CANELy on the simulated CAN bus (its broadcast wire is the
-// point), the three distributed baselines on the lossy point-to-point
-// net::Medium (100us..2ms uniform delay, 1% loss).  Scenario per cell:
-// steady state, one crash at t=8s, run to view convergence.  Curves:
+// Each protocol runs on its natural medium: CANELy on the simulated CAN
+// bus (its broadcast wire is the point), the three distributed baselines
+// on the lossy point-to-point net::Medium (100us..2ms uniform delay, 1%
+// loss).  Scenario per cell: steady state, one crash at t=8s, run to
+// view convergence.  Curves:
 //
 //   * detection latency  — crash -> first / last survivor notification
 //   * bandwidth          — steady-state bytes/s per node (sender-side)

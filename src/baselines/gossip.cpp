@@ -8,7 +8,7 @@ constexpr std::size_t kEntryBytes = 12;  // subject u32, heartbeat u64
 
 }  // namespace
 
-GossipCluster::GossipCluster(Transport& net, std::size_t n,
+GossipCluster::GossipCluster(net::Medium& net, std::size_t n,
                              GossipParams params, std::uint64_t seed,
                              obs::Recorder* recorder)
     : MembershipBaseline{net, n, recorder}, params_{params}, nodes_(n) {

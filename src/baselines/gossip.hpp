@@ -1,6 +1,6 @@
 #pragma once
 // Gossip-style heartbeat membership (van Renesse, Minsky & Hayden 1998;
-// the SWIM paper's "heartbeating" strawman) on the net::Transport seam —
+// the SWIM paper's "heartbeating" strawman) on the lossy net::Medium —
 // the bandwidth-hungry baseline of the membership shootout
 // (DESIGN.md §13).
 //
@@ -37,7 +37,7 @@ struct GossipParams {
 
 class GossipCluster final : public MembershipBaseline {
  public:
-  GossipCluster(Transport& net, std::size_t n, GossipParams params,
+  GossipCluster(net::Medium& net, std::size_t n, GossipParams params,
                 std::uint64_t seed, obs::Recorder* recorder = nullptr);
 
   /// Arm every node's heartbeat period (staggered start phases).

@@ -8,12 +8,12 @@
 #include <functional>
 #include <vector>
 
-#include "net/transport.hpp"
+#include "net/medium.hpp"
 #include "obs/recorder.hpp"
 
 namespace canely::baselines {
 
-// The baselines speak the media-agnostic transport vocabulary directly.
+// The baselines speak the net layer's message vocabulary directly.
 using net::get_u32;
 using net::get_u64;
 using net::kBroadcast;
@@ -22,7 +22,6 @@ using net::Message;
 using net::NodeId;
 using net::put_u32;
 using net::put_u64;
-using net::Transport;
 
 class MembershipBaseline {
  public:
@@ -69,7 +68,8 @@ class MembershipBaseline {
   [[nodiscard]] std::size_t size() const { return views_.size(); }
 
  protected:
-  MembershipBaseline(Transport& net, std::size_t n, obs::Recorder* recorder)
+  MembershipBaseline(net::Medium& net, std::size_t n,
+                     obs::Recorder* recorder)
       : net_{net},
         recorder_{recorder},
         views_(n, Members::all(n)),
@@ -118,7 +118,7 @@ class MembershipBaseline {
     }
   }
 
-  Transport& net_;
+  net::Medium& net_;
   obs::Recorder* recorder_;
   std::vector<Members> views_;
   std::vector<bool> crashed_;

@@ -12,7 +12,7 @@ constexpr std::uint32_t kRetract = 3;    // payload: [subject u32][ring u8]
 
 }  // namespace
 
-RapidCluster::RapidCluster(Transport& net, std::size_t n, RapidParams params,
+RapidCluster::RapidCluster(net::Medium& net, std::size_t n, RapidParams params,
                            std::uint64_t seed, obs::Recorder* recorder)
     : MembershipBaseline{net, n, recorder}, params_{params}, nodes_(n) {
   params_.rings = std::min<std::size_t>(params_.rings, 32);

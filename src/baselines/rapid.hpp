@@ -1,7 +1,7 @@
 #pragma once
 // Rapid-style stable membership via multi-observer cut detection
 // (Suresh et al., "Stable and Consistent Membership at Scale with
-// Rapid", USENIX ATC 2018) on the net::Transport seam — the
+// Rapid", USENIX ATC 2018) on the lossy net::Medium — the
 // view-stability baseline of the membership shootout (DESIGN.md §13).
 //
 // The expander-graph monitoring topology is modelled as K independent
@@ -43,7 +43,7 @@ struct RapidParams {
 
 class RapidCluster final : public MembershipBaseline {
  public:
-  RapidCluster(Transport& net, std::size_t n, RapidParams params,
+  RapidCluster(net::Medium& net, std::size_t n, RapidParams params,
                std::uint64_t seed, obs::Recorder* recorder = nullptr);
 
   /// Arm every node's heartbeat/observation period (staggered phases).

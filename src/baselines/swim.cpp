@@ -15,7 +15,7 @@ constexpr std::size_t kUpdateBytes = 9;  // subject u32, status u8, inc u32
 
 }  // namespace
 
-SwimCluster::SwimCluster(Transport& net, std::size_t n, SwimParams params,
+SwimCluster::SwimCluster(net::Medium& net, std::size_t n, SwimParams params,
                          std::uint64_t seed, obs::Recorder* recorder)
     : MembershipBaseline{net, n, recorder}, params_{params}, nodes_(n) {
   sim::Rng master{seed};

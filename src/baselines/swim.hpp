@@ -1,6 +1,6 @@
 #pragma once
 // SWIM failure detection and membership (Das, Gupta & Motivala, DSN
-// 2002) on the net::Transport seam — the random-probing baseline of the
+// 2002) on the lossy net::Medium — the random-probing baseline of the
 // membership shootout (DESIGN.md §13).
 //
 // Per protocol period each node probes one peer (randomized round-robin
@@ -34,7 +34,7 @@ struct SwimParams {
 
 class SwimCluster final : public MembershipBaseline {
  public:
-  SwimCluster(Transport& net, std::size_t n, SwimParams params,
+  SwimCluster(net::Medium& net, std::size_t n, SwimParams params,
               std::uint64_t seed, obs::Recorder* recorder = nullptr);
 
   /// Arm every node's protocol period (staggered start phases).

@@ -13,6 +13,7 @@
 #include "check/frontier.hpp"
 #include "check/prefix_cache.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/wall_clock.hpp"
 #include "sim/rng.hpp"
 
 namespace canely::check {
@@ -93,16 +94,11 @@ void placements_for(const TxLogEntry& entry, std::size_t max_victim_sets,
 }
 
 /// Execute `scripts` through the campaign runner (index-slotted results:
-/// aggregate order is enumeration order for any thread count).  With
-/// `naive_rerun` every worker first re-simulates every proper prefix of
-/// its script from t=0 (tx log only, result discarded) — the probes a
-/// stateless re-run-from-zero explorer pays to locate each fault's
-/// target attempt before it can run the placement itself.
+/// aggregate order is enumeration order for any thread count).
 std::vector<Cell> run_batch(const ScenarioConfig& scenario,
                             const std::vector<FaultScript>& scripts,
                             std::size_t threads, std::uint64_t seed,
-                            bool naive_rerun = false,
-                            obs::Telemetry* telemetry = nullptr) {
+                            obs::Telemetry* telemetry) {
   campaign::Grid grid;
   std::vector<double> axis(scripts.size());
   for (std::size_t i = 0; i < axis.size(); ++i) {
@@ -112,15 +108,6 @@ std::vector<Cell> run_batch(const ScenarioConfig& scenario,
   campaign::Runner runner{threads == 0 ? 0 : threads};
   runner.set_observer(telemetry);  // counts runs + judge durations; null ok
   auto outcome = runner.run<Cell>(grid, [&](const campaign::RunSpec& spec) {
-    if (naive_rerun) {
-      FaultScript prefix;
-      RunOptions opts;
-      opts.want_tx_log = true;
-      for (const FaultEvent& ev : scripts[spec.index]) {
-        (void)run_checked(scenario, prefix, opts);
-        prefix.push_back(ev);
-      }
-    }
     return run_cell(scenario, scripts[spec.index]);
   });
   return std::move(outcome.results);
@@ -232,7 +219,6 @@ class RecordExplorer {
   explicit RecordExplorer(const ExploreConfig& cfg)
       : cfg_{cfg},
         tel_{cfg.telemetry},
-        dedup_{cfg.dedup && !cfg.naive_rerun},
         shard_count_{cfg.shard_count == 0 ? 1 : cfg.shard_count},
         window_end_{window_end_for(cfg)},
         cache_{cfg.prefix_cache_cells} {
@@ -373,7 +359,7 @@ class RecordExplorer {
                        records_.size());
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const FrontierRecord& rec = records_[i];
-      if (dedup_ && classes_.find(rec.key) == classes_.end()) {
+      if (cfg_.dedup && classes_.find(rec.key) == classes_.end()) {
         classes_.emplace(rec.key, ClassOutcome{rec.violated, rec.violation});
       }
       if (rec.violated) {
@@ -500,7 +486,7 @@ class RecordExplorer {
       const obs::StageTimer timer{tel_, obs::TelemetryStage::kHash};
       for (std::size_t i = 0; i < pending_.size(); ++i) {
         const Unit& unit = pending_[i];
-        if (!dedup_) {
+        if (!cfg_.dedup) {
           to_run.push_back(i);
           continue;
         }
@@ -519,22 +505,15 @@ class RecordExplorer {
       scripts.push_back(pending_[idx].script);
     }
     const std::vector<Cell> cells =
-        run_batch(cfg_.scenario, scripts, cfg_.threads, cfg_.seed,
-                  cfg_.naive_rerun, tel_);
+        run_batch(cfg_.scenario, scripts, cfg_.threads, cfg_.seed, tel_);
     result_.runs += cells.size();
     obs::telemetry_add(tel_, obs::TelemetryCounter::kUnitsJudged,
                        cells.size());
-    if (cfg_.naive_rerun) {
-      for (const FaultScript& s : scripts) {
-        result_.runs += s.size();  // one probe per proper prefix
-        result_.probe_runs += s.size();
-      }
-    }
 
     std::map<std::size_t, std::size_t> cell_of;
     for (std::size_t k = 0; k < to_run.size(); ++k) {
       cell_of.emplace(to_run[k], k);
-      if (dedup_) {
+      if (cfg_.dedup) {
         const Unit& unit = pending_[to_run[k]];
         classes_.emplace(unit.key,
                          ClassOutcome{cells[k].violated, cells[k].first});
@@ -645,7 +624,6 @@ class RecordExplorer {
 
   const ExploreConfig& cfg_;
   obs::Telemetry* tel_;
-  const bool dedup_;
   std::size_t shard_count_;
   sim::Time window_end_;
   PrefixCache cache_;
@@ -670,8 +648,7 @@ ExploreResult explore(const ExploreConfig& cfg) {
   // depth-2 exhaustive.  Everything else stays on the legacy paths,
   // byte-exactly.
   if (cfg.exhaustive || cfg.dedup || cfg.shard_count > 1 ||
-      !cfg.frontier_path.empty() || cfg.stop_after_units != 0 ||
-      cfg.naive_rerun) {
+      !cfg.frontier_path.empty() || cfg.stop_after_units != 0) {
     return RecordExplorer{cfg}.run();
   }
 
@@ -705,8 +682,7 @@ ExploreResult explore(const ExploreConfig& cfg) {
                      result.dropped_victim_sets);
     }
     const std::vector<Cell> cells =
-        run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed,
-                  /*naive_rerun=*/false, cfg.telemetry);
+        run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed, cfg.telemetry);
     fold_batch(scripts, cells, 0, result, cfg.telemetry);
   } else {
     // Depth 2: bases in deterministic order — life-sign attempts first
@@ -784,7 +760,7 @@ ExploreResult explore(const ExploreConfig& cfg) {
       }
       const std::vector<Cell> cells =
           run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed,
-                    /*naive_rerun=*/false, cfg.telemetry);
+                    cfg.telemetry);
       const std::size_t before = result.violations.size();
       fold_batch(scripts, cells, index_base, result, cfg.telemetry);
       index_base += cells.size();
@@ -802,8 +778,7 @@ ExploreResult explore(const ExploreConfig& cfg) {
     }
     const std::size_t index_base = result.placements;
     const std::vector<Cell> cells =
-        run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed,
-                  /*naive_rerun=*/false, cfg.telemetry);
+        run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed, cfg.telemetry);
     fold_batch(scripts, cells, index_base, result, cfg.telemetry);
   }
 

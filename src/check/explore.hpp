@@ -126,14 +126,6 @@ struct ExploreConfig {
   /// ExploreResult::dedup_mismatches — any nonzero value means the state
   /// hash missed behavior-determining state.
   std::size_t dedup_verify_every{0};
-  /// Bench comparator (perf_core `check_explore_naive`): cost out the
-  /// naive re-run-from-zero strategy — every unit re-simulates every
-  /// proper prefix of its script from t=0 (the tx-log probes a stateless
-  /// worker needs to locate each fault's target attempt) before running
-  /// the unit itself, nothing is shared across units, and dedup is
-  /// ignored.  Records and aggregate stay byte-identical to the scale
-  /// engine's; only the cost differs.
-  bool naive_rerun{false};
 };
 
 struct FoundViolation {

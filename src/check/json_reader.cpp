@@ -56,9 +56,17 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // Each level recurses, so a hostile file of nothing but brackets
+        // would overflow the stack without this cap.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        Value v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.kind = Value::Kind::kString;
@@ -215,9 +223,14 @@ class Parser {
     return v;
   }
 
+  /// The container nesting limit lint/json_mini.hpp also uses; every
+  /// schema read here nests far less deeply.
+  static constexpr int kMaxDepth = 64;
+
   const std::string& text_;
   const std::string& what_;
   std::size_t pos_{0};
+  int depth_{0};  ///< containers open at pos_
 };
 
 }  // namespace

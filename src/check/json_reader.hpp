@@ -50,7 +50,8 @@ struct Value {
 };
 
 /// Parse `text` completely; throws std::runtime_error (message prefixed
-/// with `what`) on syntax errors or trailing input.
+/// with `what`) on syntax errors, trailing input, or containers nested
+/// more than 64 deep.
 [[nodiscard]] Value parse(const std::string& text, const std::string& what);
 
 /// Fetch a mandatory field of the given kind; throws std::runtime_error

@@ -1,6 +1,7 @@
 #pragma once
 // Deterministic, seeded, lossy point-to-point message medium
-// (DESIGN.md §13) — the non-CAN half of the transmit/deliver seam.
+// (DESIGN.md §13) — the network the SWIM, gossip and Rapid-style
+// baselines run on.
 //
 // Models a general asynchronous network: every ordered pair of nodes is
 // a link with its own delay distribution (uniform in [delay_min,
@@ -15,15 +16,37 @@
 // and a constant delay the medium is a global FIFO — messages deliver in
 // exactly the order they were sent, because equal-timestamp events fire
 // in scheduling order (sim::Engine's determinism rule).
+//
+// Delivery contract the baselines rely on:
+//   * handlers run from engine events, never re-entrantly inside send();
+//   * a send() at time t delivers at some t' > t or never (drop);
+//   * all nondeterminism (delay draws, drops, duplicates) derives from
+//     the medium's own seeded Rng — a run is a pure function of
+//     (seed, send sequence), per the determinism zone rules.
 
+#include <functional>
 #include <map>
 #include <vector>
 
-#include "net/transport.hpp"
+#include "net/types.hpp"
 #include "obs/recorder.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
 namespace canely::net {
+
+/// Cumulative traffic counters of a medium.  `sent` counts one copy per
+/// receiver: a broadcast of fan-out f counts f, and a duplicate counts
+/// again.  A CAN wire reaches every node with one frame, so this per-copy
+/// charge is the bandwidth edge the membership shootout measures.
+struct TransportStats {
+  std::uint64_t sent{0};
+  std::uint64_t delivered{0};
+  std::uint64_t dropped{0};     ///< loss draws + partition/crash filtering
+  std::uint64_t duplicated{0};  ///< extra copies injected by dup_p
+  std::uint64_t bytes_sent{0};
+  std::uint64_t bytes_delivered{0};
+};
 
 /// Per-link behavior.  Defaults are a perfect wire (FIFO degeneracy).
 struct LinkModel {
@@ -42,16 +65,24 @@ struct MediumConfig {
   std::uint32_t header_bytes{32};
 };
 
-class Medium final : public Transport {
+class Medium {
  public:
+  using Handler = std::function<void(const Message&)>;
+
   Medium(sim::Engine& engine, MediumConfig config, std::uint64_t seed);
 
-  void attach(NodeId node, Handler handler) override;
-  void send(Message msg) override;
-  [[nodiscard]] sim::Engine& engine() override { return engine_; }
-  [[nodiscard]] const TransportStats& stats() const override {
-    return stats_;
-  }
+  /// Register `node`'s delivery handler.  One handler per node; a
+  /// message to a node with no handler is counted dropped.
+  void attach(NodeId node, Handler handler);
+
+  /// Queue a message.  `to` may be kBroadcast (delivered to every
+  /// attached node except `from`, each copy charged separately).
+  void send(Message msg);
+
+  /// The engine this medium schedules on (protocol timers live here).
+  [[nodiscard]] sim::Engine& engine() { return engine_; }
+
+  [[nodiscard]] const TransportStats& stats() const { return stats_; }
 
   /// Override the model of the directed link `from -> to`.
   void set_link(NodeId from, NodeId to, LinkModel model);

@@ -6,28 +6,6 @@
 #include "campaign/json.hpp"
 
 namespace canely::obs {
-namespace {
-
-/// The one place in src/obs that touches a real clock.  Everything else
-/// reaches wall time through the injected WallClock seam, so tests can
-/// fake it and the determinism zone stays mockable end to end.
-class SteadyTelemetryClock final : public socketcan::WallClock {
- public:
-  [[nodiscard]] std::chrono::nanoseconds now() override {
-    // canely-lint: allow(no-wall-clock) — telemetry sampler wall time behind the WallClock seam; never feeds a simulation
-    return std::chrono::steady_clock::now().time_since_epoch();
-  }
-  void sleep_for(std::chrono::microseconds d) override {
-    std::this_thread::sleep_for(d);
-  }
-};
-
-}  // namespace
-
-socketcan::WallClock& default_wall_clock() {
-  static SteadyTelemetryClock clock;
-  return clock;
-}
 
 Telemetry::Telemetry(TelemetryConfig cfg)
     : cfg_{std::move(cfg)},

@@ -17,10 +17,11 @@
 //  * Telemetry must not perturb results.  Nothing here feeds back into a
 //    run; campaign/checker outputs are byte-identical telemetry-on vs
 //    -off (asserted by tests/test_telemetry.cpp at several --threads).
-//  * Wall time enters ONLY through the socketcan::WallClock seam (PR 8):
-//    src/obs sits in the determinism zone, so the sampler's clock use is
-//    injected, mockable, and annotated as a deliberate nondeterminism
-//    seam for canely_lint's whole-program escape analysis.
+//  * Wall time enters ONLY through the obs::WallClock seam
+//    (obs/wall_clock.hpp): src/obs sits in the determinism zone, so the
+//    sampler's clock use is injected, mockable, and annotated as a
+//    deliberate nondeterminism seam for canely_lint's whole-program
+//    escape analysis.
 //
 // Aggregation: a sampling thread wakes every `sample_period_ms`, sums the
 // slots, and appends one self-contained JSON line per wake (single
@@ -40,7 +41,7 @@
 #include <thread>
 
 #include "campaign/runner.hpp"
-#include "socketcan/realtime.hpp"
+#include "obs/wall_clock.hpp"
 
 namespace canely::obs {
 
@@ -110,11 +111,6 @@ inline constexpr std::array<std::uint64_t, 12> kStageBucketBoundsUs = {
     50,    100,   250,    500,    1000,   2500,
     5000, 10000, 25000, 50000, 100000, 250000};
 
-/// The process-wide steady clock behind the WallClock seam (telemetry's
-/// default when no clock is injected).  Lives in telemetry.cpp so the
-/// clock tokens stay in one annotated place.
-[[nodiscard]] socketcan::WallClock& default_wall_clock();
-
 struct TelemetryConfig {
   std::string path;                     ///< JSONL sink (appended to)
   std::uint64_t sample_period_ms{500};  ///< 0 = manual sample_now() only
@@ -123,7 +119,7 @@ struct TelemetryConfig {
   std::size_t shard_count{1};
   std::string frontier_path{};  ///< advertised so canely_top can tail it
   /// Injectable wall clock (tests); null = default_wall_clock().
-  socketcan::WallClock* clock{nullptr};
+  WallClock* clock{nullptr};
 };
 
 /// The campaign telemetry service: lock-free per-worker counters, a
@@ -184,7 +180,7 @@ class Telemetry final : public campaign::RunObserver {
   [[nodiscard]] std::string snapshot_line();
 
   TelemetryConfig cfg_;
-  socketcan::WallClock* clock_;  ///< never null after construction
+  WallClock* clock_;  ///< never null after construction
   std::uint64_t start_ns_{0};
   std::array<Slot, kMaxSlots> slots_{};
   std::atomic<std::uint32_t> next_slot_{0};

@@ -1,20 +1,9 @@
 #include "socketcan/realtime.hpp"
 
-#include <thread>
-
 namespace canely::socketcan {
 
-std::chrono::nanoseconds SteadyWallClock::now() {
-  return std::chrono::steady_clock::now().time_since_epoch();
-}
-
-void SteadyWallClock::sleep_for(std::chrono::microseconds d) {
-  std::this_thread::sleep_for(d);
-}
-
 void RealTimeRunner::run_for(std::chrono::milliseconds wall) {
-  SteadyWallClock steady;
-  WallClock& clock = clock_ != nullptr ? *clock_ : steady;
+  obs::WallClock& clock = *clock_;
 
   const auto start_wall = clock.now();
   const auto start_sim = engine_.now();

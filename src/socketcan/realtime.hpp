@@ -8,34 +8,19 @@
 #include <functional>
 #include <vector>
 
+#include "obs/wall_clock.hpp"
 #include "sim/engine.hpp"
 
 namespace canely::socketcan {
 
-/// The runner's view of wall time, injectable so pacing logic is testable
-/// without depending on the host scheduler: production uses the steady
-/// clock and really sleeps; tests substitute a fake whose now() advances
-/// exactly poll_interval per sleep_for(), making tick/poll counts exact
-/// regardless of machine load (tests/test_socketcan.cpp).
-class WallClock {
- public:
-  virtual ~WallClock() = default;
-  [[nodiscard]] virtual std::chrono::nanoseconds now() = 0;
-  virtual void sleep_for(std::chrono::microseconds d) = 0;
-};
-
-/// std::chrono::steady_clock + std::this_thread::sleep_for.
-class SteadyWallClock final : public WallClock {
- public:
-  [[nodiscard]] std::chrono::nanoseconds now() override;
-  void sleep_for(std::chrono::microseconds d) override;
-};
-
 class RealTimeRunner {
  public:
-  /// `clock` is non-owning and may be null (steady clock + real sleeps).
-  explicit RealTimeRunner(sim::Engine& engine, WallClock* clock = nullptr)
-      : engine_{engine}, clock_{clock} {}
+  /// `clock` is non-owning and may be null (obs::default_wall_clock():
+  /// the steady clock and real sleeps).  Tests inject a fake so pacing
+  /// is exact regardless of the host scheduler.
+  explicit RealTimeRunner(sim::Engine& engine, obs::WallClock* clock = nullptr)
+      : engine_{engine},
+        clock_{clock != nullptr ? clock : &obs::default_wall_clock()} {}
 
   /// Register a poller invoked every `poll_interval` of wall time
   /// (non-blocking socket drains, UI, ...).
@@ -56,7 +41,7 @@ class RealTimeRunner {
 
  private:
   sim::Engine& engine_;
-  WallClock* clock_;
+  obs::WallClock* clock_;  ///< never null after construction
   std::vector<std::function<void()>> pollers_;
   std::chrono::microseconds poll_interval_{std::chrono::microseconds{200}};
 };

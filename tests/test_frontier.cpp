@@ -1,7 +1,8 @@
 // Tests for the explorer's scale engine (record mode): shard-union
 // byte-identity, dedup-on vs dedup-off verdict equality, prefix-cache
 // replay against the from-scratch oracle, frontier resume-after-kill,
-// merge validation, and --shard argument parsing.
+// rejection of hostile frontier files, merge validation, and --shard
+// argument parsing.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "check/explore.hpp"
 #include "check/frontier.hpp"
 #include "check/harness.hpp"
+#include "check/json_reader.hpp"
 #include "check/prefix_cache.hpp"
 
 namespace canely::testing {
@@ -229,6 +231,35 @@ TEST(Frontier, ResumeAfterStopYieldsByteIdenticalFrontier) {
 
   std::remove(resumable.c_str());
   std::remove(straight.c_str());
+}
+
+// --- hostile frontier files --------------------------------------------------
+
+TEST(Frontier, DeeplyNestedFileIsRejectedAndExploreStartsFresh) {
+  // The reader caps nesting at 64: one level more is a clean error, not
+  // a deeper recursion.
+  const std::string ok = std::string(64, '[') + std::string(64, ']');
+  EXPECT_NO_THROW((void)check::jsonin::parse(ok, "nested"));
+  EXPECT_THROW((void)check::jsonin::parse("[" + ok + "]", "nested"),
+               std::runtime_error);
+
+  // 100,000 open brackets would overflow the stack of an uncapped
+  // recursive parser; resume must instead discard the file.
+  const std::string hostile = temp_path("frontier_nested.json");
+  {
+    std::ofstream out(hostile, std::ios::binary);
+    out << std::string(100'000, '[');
+  }
+  EXPECT_THROW((void)check::load_frontier(hostile), std::runtime_error);
+
+  ExploreConfig cfg = smoke_config();
+  cfg.frontier_path = hostile;
+  cfg.stop_after_units = 8;
+  const ExploreResult r = check::explore(cfg);
+  EXPECT_FALSE(r.resumed);
+  EXPECT_FALSE(check::load_frontier(hostile).records.empty());
+
+  std::remove(hostile.c_str());
 }
 
 // --- merge validation --------------------------------------------------------

@@ -387,7 +387,7 @@ TEST(LintSuppress, SuppressionFindingsCannotBeSelfSilenced) {
 TEST(LintOutput, TextFormatIsFileLineRuleMessage) {
   RunResult r;
   r.findings.push_back(
-      Finding{"src/sim/a.cpp", 7, "no-rand", "ambient randomness"});
+      Finding{"src/sim/a.cpp", 7, "no-rand", "ambient randomness", {}});
   r.files = 3;
   r.suppressed = 2;
   EXPECT_EQ(to_text(r),
@@ -397,7 +397,8 @@ TEST(LintOutput, TextFormatIsFileLineRuleMessage) {
 
 TEST(LintOutput, JsonCarriesSchemaAndEscapes) {
   RunResult r;
-  r.findings.push_back(Finding{"src/sim/a.cpp", 7, "no-rand", "say \"no\""});
+  r.findings.push_back(
+      Finding{"src/sim/a.cpp", 7, "no-rand", "say \"no\"", {}});
   r.files = 1;
   EXPECT_EQ(to_json(r),
             "{\"schema\":\"canely-lint-1\",\"files\":1,\"suppressed\":0,"

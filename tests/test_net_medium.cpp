@@ -1,7 +1,6 @@
 // Tests for the media-agnostic network layer (DESIGN.md §13): the lossy
 // point-to-point Medium's determinism contract, partition-mask and
-// fail-stop semantics, the FIFO degeneracy property, and the CanTransport
-// adapter that carries the same Transport vocabulary over the CAN bus.
+// fail-stop semantics, and the FIFO degeneracy property.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "can/bus.hpp"
-#include "net/can_transport.hpp"
 #include "net/medium.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -257,44 +254,6 @@ TEST(NetMedium, BandwidthChargesHeaderPlusPayloadPerCopy) {
   EXPECT_EQ(medium.stats().sent, 4u);
   EXPECT_EQ(medium.stats().bytes_sent, 42u + 3u * 40u);
   EXPECT_EQ(medium.stats().bytes_delivered, 42u + 3u * 40u);
-}
-
-// ------------------------------------------------------- CanTransport ----
-
-TEST(NetCanTransport, UnicastAndBroadcastOverTheSharedBus) {
-  sim::Engine engine;
-  can::Bus bus{engine};
-  CanTransport net{bus};
-
-  std::vector<TraceEntry> trace;
-  for (NodeId i = 0; i < 3; ++i) {
-    net.attach(i, [&trace, &engine, i](const Message& m) {
-      trace.push_back({engine.now().to_ns(), i, m.from, m.kind});
-    });
-  }
-
-  Message uni = make_msg(0, 2, 7, /*payload=*/4);
-  net.send(uni);
-  engine.run_until(Time::ms(1));
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].to, 2u);
-  EXPECT_EQ(trace[0].from, 0u);
-  EXPECT_EQ(trace[0].kind, 7u);
-
-  // One frame on a broadcast wire reaches everyone: sent += 1 only.
-  const std::uint64_t sent_before = net.stats().sent;
-  Message bc = make_msg(1, kBroadcast, 9, /*payload=*/2);
-  net.send(bc);
-  engine.run_until(Time::ms(2));
-  EXPECT_EQ(net.stats().sent, sent_before + 1);
-  ASSERT_EQ(trace.size(), 3u);  // nodes 0 and 2
-  EXPECT_EQ(trace[1].kind, 9u);
-  EXPECT_EQ(trace[2].kind, 9u);
-
-  // The adapter enforces CAN's physical limits instead of truncating.
-  EXPECT_THROW(net.send(make_msg(0, 1, 1, /*payload=*/9)),
-               std::invalid_argument);
-  EXPECT_THROW(net.send(make_msg(5, 1, 1)), std::logic_error);
 }
 
 }  // namespace

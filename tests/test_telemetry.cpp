@@ -33,7 +33,7 @@ using check::ScenarioConfig;
 
 /// Wall clock returning a scripted sequence of instants (sticky last
 /// value), so snapshot timestamps and rates are exact.
-class ScriptedClock final : public socketcan::WallClock {
+class ScriptedClock final : public obs::WallClock {
  public:
   explicit ScriptedClock(std::vector<std::int64_t> times_ns)
       : times_ns_{std::move(times_ns)} {}

@@ -9,10 +9,9 @@
 #   tools/ci.sh tsan       ThreadSanitizer build, campaign-runner tests
 #                          (the only code that spawns threads) + benches
 #                          at --threads 4
-#   tools/ci.sh perf       Release build, full perf_core run; regression
-#                          guard against the committed BENCH_core.json:
-#                          any cell slower than (1 - CANELY_PERF_TOLERANCE,
-#                          default 0.30) x baseline fails the stage
+#   tools/ci.sh bench      the repository benchmark (benchmark/run.py
+#                          --quick, its own Release build): every golden
+#                          output and per-window work count must match
 #   tools/ci.sh check      Release build of the checker (src/check);
 #                          check_explorer --quick must come back clean and
 #                          byte-identical across thread counts
@@ -27,8 +26,9 @@
 #                          against the exported compile database when
 #                          clang-tidy is installed
 #
-# Each stage uses its own build tree under build-ci/ so the stages never
-# poison each other's CMake caches or object files.
+# Each stage uses its own build tree under build-ci/ (bench: run.py's own
+# benchmark/out/build) so the stages never poison each other's CMake
+# caches or object files.
 
 set -euo pipefail
 
@@ -82,92 +82,9 @@ stage_ubsan() {
     -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all"
 }
 
-stage_perf() {
-  echo "=== perf: Release perf_core vs committed BENCH_core.json ==="
-  local dir=build-ci/perf
-  cmake -S "$ROOT" -B "$dir" -DCANELY_WERROR=ON \
-    -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$dir" -j "$JOBS" --target perf_core
-  local json=build-ci/perf/BENCH_fresh.json
-  (cd "$dir" && ./bench/perf_core --json BENCH_fresh.json)
-  # Structural validation + regression guard: every expected cell must be
-  # present with a positive rate, and no cell may fall more than
-  # CANELY_PERF_TOLERANCE (default 30%) below the committed baseline.
-  # Absolute numbers are machine-dependent; the tolerance absorbs normal
-  # scheduling noise while catching order-of-magnitude regressions.
-  CANELY_PERF_TOLERANCE="${CANELY_PERF_TOLERANCE:-0.30}" \
-    python3 - "$json" "$ROOT/BENCH_core.json" <<'EOF'
-import json, os, sys
-
-def rates(path):
-    with open(path) as f:
-        doc = json.load(f)
-    assert doc["bench"] == "perf_core", doc.get("bench")
-    cells = {}
-    for cell in doc["cells"]:
-        p = cell["params"]
-        key = p["scenario"]
-        if "nodes" in p:
-            key += ":%d" % p["nodes"]
-        if "obs" in p:
-            key += ":obs%d" % p["obs"]
-        if "tel" in p:
-            key += ":tel%d" % p["tel"]
-        (metric,) = cell["metrics"].values()
-        # Best-of rate: on a shared host the max over reps is the least
-        # noise-contaminated estimate of the true speed (same estimator
-        # the bench uses for the trace-overhead comparison).
-        cells[key] = metric["max"]
-    return cells
-
-fresh, baseline = rates(sys.argv[1]), rates(sys.argv[2])
-tolerance = float(os.environ["CANELY_PERF_TOLERANCE"])
-
-expected = ["engine_churn", "engine_fifo", "bus_load:8", "bus_load:32",
-            "bus_load:64", "membership_cycle:8", "lint_full_tree",
-            "net_medium:64", "swim_steady:128", "trace_overhead:obs0",
-            "trace_overhead:obs1", "check_explore:8",
-            "check_explore_naive:8", "telemetry_overhead:tel0",
-            "telemetry_overhead:tel1"]
-missing = [k for k in expected if k not in fresh]
-assert not missing, f"missing cells: {missing}"
-bad = {k: v for k, v in fresh.items() if not v > 0}
-assert not bad, f"non-positive rates: {bad}"
-
-# A cell the fresh run emits but the committed baseline lacks means a
-# benchmark was added without regenerating BENCH_core.json — that cell
-# would silently escape the regression guard forever.  Fail loudly and
-# say how to fix it.
-unbaselined = sorted(k for k in fresh if k not in baseline)
-if unbaselined:
-    print("perf baseline is STALE — fresh cells missing from "
-          f"{sys.argv[2]}:")
-    for k in unbaselined:
-        print(f"  {k}: {fresh[k]:.3g}/s has no committed baseline")
-    print("fix: rerun `./bench/perf_core --json BENCH_core.json` on the "
-          "reference machine and commit the result")
-    sys.exit(1)
-
-regressions = []
-for key, base in sorted(baseline.items()):
-    now = fresh.get(key)
-    if now is None:
-        regressions.append(f"{key}: cell vanished (baseline {base:.3g}/s)")
-        continue
-    ratio = now / base
-    flag = "REGRESSION" if ratio < 1 - tolerance else "ok"
-    print(f"  {key:24s} {now:14.3g}/s  baseline {base:14.3g}/s  "
-          f"x{ratio:.2f}  {flag}")
-    if ratio < 1 - tolerance:
-        regressions.append(f"{key}: {now:.3g}/s is {1 - ratio:.0%} below "
-                           f"baseline {base:.3g}/s (tolerance {tolerance:.0%})")
-if regressions:
-    print("perf regression guard FAILED:")
-    for r in regressions:
-        print("  " + r)
-    sys.exit(1)
-print(f"perf guard: {len(baseline)} cells within {tolerance:.0%} of baseline")
-EOF
+stage_bench() {
+  echo "=== bench: benchmark/run.py --quick, goldens + work counts ==="
+  python3 "$ROOT/benchmark/run.py" --quick
 }
 
 stage_check() {
@@ -433,7 +350,7 @@ stage_lint() {
 main() {
   local stages=("$@")
   if [ ${#stages[@]} -eq 0 ]; then
-    stages=(lint tier1 asan ubsan tsan perf check shootout obs)
+    stages=(lint tier1 asan ubsan tsan bench check shootout obs)
   fi
   for s in "${stages[@]}"; do
     case "$s" in
@@ -441,14 +358,14 @@ main() {
       asan) stage_asan ;;
       ubsan) stage_ubsan ;;
       tsan) stage_tsan ;;
-      perf) stage_perf ;;
+      bench) stage_bench ;;
       check) stage_check ;;
       shootout) stage_shootout ;;
       obs) stage_obs ;;
       lint) stage_lint ;;
       *)
         echo "unknown stage: $s (expected lint, tier1, asan, ubsan, tsan," \
-             "perf, check, shootout, or obs)" >&2
+             "bench, check, shootout, or obs)" >&2
         exit 2
         ;;
     esac
