@@ -1,5 +1,7 @@
 #include "canely/failure_detector.hpp"
 
+#include <algorithm>
+
 namespace canely {
 
 FailureDetector::FailureDetector(CanDriver& driver, sim::TimerService& timers,
@@ -42,8 +44,7 @@ void FailureDetector::fd_can_req_start(can::NodeId r) {
 
 void FailureDetector::fd_can_req_stop(can::NodeId r) {
   monitored_[r] = false;
-  timers_.cancel_alarm(tid_[r]);  // f17-f18
-  tid_[r] = sim::kNullTimer;
+  disarm(r);  // f17-f18
   if (r == driver_.node()) {
     // Withdraw a still-pending explicit life-sign: a node whose self-
     // surveillance stops (it left, or was expelled) must not leave an
@@ -53,21 +54,90 @@ void FailureDetector::fd_can_req_stop(can::NodeId r) {
   }
 }
 
+// canely-lint: hot-path
 void FailureDetector::fd_alarm_start(can::NodeId r) {
-  timers_.cancel_alarm(tid_[r]);  // restart semantics (f04)
-  const sim::Time duration =
-      (r == driver_.node())
-          ? params_.heartbeat_period                              // a02
-          : params_.heartbeat_period + params_.tx_delay_bound +   // a04
-                params_.fd_skew_quantum * driver_.node();         // osc. skew
-  tid_[r] = timers_.start_alarm(duration, [this, r] {
-    tid_[r] = sim::kNullTimer;
-    on_expiry(r);
-  });
+  const sim::Time now = driver_.engine().now();
+  // The tick is pending whenever a deadline is, unless Node::crash()
+  // cancelled it with every other timer; then the deadlines it stood for
+  // died with it, as Fig. 8's per-node timers would have.
+  const sim::Time tick_at = ticking_ ? now : timers_.deadline(tick_);
+  if (tick_at == sim::Time::max()) {
+    drop_deadlines();
+  } else {
+    disarm(r);  // restart semantics (f04)
+  }
+  Watch& w = watch_[r];
+  w.seq = ++arm_seq_;
+  if (r == driver_.node()) {
+    w.due = now + params_.heartbeat_period;                     // a02
+  } else {
+    w.due = now + params_.heartbeat_period + params_.tx_delay_bound +  // a04
+            params_.fd_skew_quantum * driver_.node();           // osc. skew
+    // Same duration for every remote node: appending keeps deadline order.
+    w.prev = tail_;
+    w.next = kNil;
+    (tail_ == kNil ? head_ : watch_[tail_].next) = r;
+    tail_ = r;
+  }
+  // Only a deadline before the pending tick moves it; a restart lands
+  // after it, and inside on_tick() (tick_at == now) the tick re-arms on
+  // return.
+  if (w.due < tick_at) {
+    timers_.cancel_alarm(tick_);
+    tick_ = timers_.start_alarm(w.due - now, [this] { on_tick(); });
+  }
 }
 
+void FailureDetector::disarm(can::NodeId r) {
+  Watch& w = watch_[r];
+  if (w.due == sim::Time::max()) return;
+  w.due = sim::Time::max();
+  if (r == driver_.node()) return;
+  (w.prev == kNil ? head_ : watch_[w.prev].next) = w.next;
+  (w.next == kNil ? tail_ : watch_[w.next].prev) = w.prev;
+}
+
+void FailureDetector::drop_deadlines() {
+  for (can::NodeId r = head_; r != kNil; r = watch_[r].next) {
+    watch_[r].due = sim::Time::max();
+  }
+  head_ = kNil;
+  tail_ = kNil;
+  watch_[driver_.node()].due = sim::Time::max();
+}
+
+// canely-lint: hot-path
+void FailureDetector::on_tick() {
+  const sim::Time now = driver_.engine().now();
+  const can::NodeId self = driver_.node();
+  const Watch& local = watch_[self];
+  ticking_ = true;
+  // f06: expire every due deadline.  Same-instant deadlines go in arm
+  // order, the order in which the engine (FIFO within an instant) would
+  // have fired Fig. 8's per-node timers.  The wraparound-safe sequence
+  // difference is exact: pending deadlines are never 2^31 arms apart.
+  for (;;) {
+    can::NodeId r = (head_ != kNil && watch_[head_].due <= now) ? head_ : kNil;
+    if (local.due <= now &&
+        (r == kNil || static_cast<std::int32_t>(local.seq - watch_[r].seq) < 0)) {
+      r = self;
+    }
+    if (r == kNil) break;
+    disarm(r);
+    on_expiry(r);
+  }
+  ticking_ = false;
+  const sim::Time next =
+      head_ == kNil ? local.due : std::min(local.due, watch_[head_].due);
+  tick_ = next == sim::Time::max()
+              ? sim::kNullTimer
+              : timers_.start_alarm(next - now, [this] { on_tick(); });
+}
+
+// canely-lint: hot-path
 void FailureDetector::on_activity(can::NodeId r, bool implicit) {
-  // f03-f05: restart the surveillance timer of an actively monitored node.
+  // f03-f05: restart the surveillance deadline of an actively monitored
+  // node.
   // (Activity of nodes the service was not started for is ignored —
   // starting/stopping surveillance is the upper layer's decision,
   // lines f00/f17.)
@@ -102,9 +172,9 @@ void FailureDetector::on_expiry(can::NodeId r) {
   if (r == driver_.node()) {
     // f07-f08: the local node stayed silent for a whole heartbeat period;
     // broadcast an explicit life-sign.  The loopback can-rtr.ind normally
-    // restarts the timer, but the ELS can die before reaching the wire
+    // restarts the deadline, but the ELS can die before reaching the wire
     // (bus-off clears the controller queue; an abort can race it), so the
-    // timer is re-armed HERE, unconditionally: if the ELS never loops
+    // deadline is re-armed HERE, unconditionally: if the ELS never loops
     // back, the next expiry retries the life-sign instead of leaving the
     // node silent until its peers falsely suspect it.
     ++els_sent_;
@@ -143,10 +213,9 @@ void FailureDetector::on_expiry(can::NodeId r) {
 }
 
 void FailureDetector::on_fda_nty(can::NodeId r) {
-  // f13-f16: an agreed failure-sign arrived (possibly before our own timer
-  // expired): stop surveillance and notify the membership layer.
-  timers_.cancel_alarm(tid_[r]);
-  tid_[r] = sim::kNullTimer;
+  // f13-f16: an agreed failure-sign arrived (possibly before our own
+  // deadline passed): stop surveillance and notify the membership layer.
+  disarm(r);
   monitored_[r] = false;
   if (nty_) nty_(r);  // f15
 }

@@ -1,12 +1,16 @@
 // Tests for the node failure detection protocol (Fig. 8): surveillance
-// timers, implicit heartbeats via can-data.nty, explicit life-signs,
-// detection latency bounds, FDA-based consistency.
+// deadlines, implicit heartbeats via can-data.nty, explicit life-signs,
+// detection latency bounds, FDA-based consistency, and the footprint of
+// the single-tick surveillance bookkeeping.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
+#include "obs/recorder.hpp"
+#include "sim/hash.hpp"
 #include "testing.hpp"
 
 namespace canely::testing {
@@ -220,6 +224,179 @@ TEST_F(FdTest, ImplicitHeartbeatBandwidthAdvantage) {
   std::uint64_t total_els = 0;
   for (std::size_t i = 0; i < 4; ++i) total_els += c->node(i).fd().els_sent();
   EXPECT_EQ(total_els, 0u);
+}
+
+TEST_F(FdTest, DeadlineIsLastActivityPlusSurveillancePeriod) {
+  const Time remote_period = params.heartbeat_period + params.tx_delay_bound +
+                             params.fd_skew_quantum * 1;  // observer id 1
+  auto& fd = c->node(1).fd();
+  c->settle(Time::ms(3));
+  const Time t0 = c->engine().now();
+  fd.fd_can_req_start(1);
+  fd.fd_can_req_start(2);
+  EXPECT_EQ(fd.deadline(1), t0 + params.heartbeat_period);
+  EXPECT_EQ(fd.deadline(2), t0 + remote_period);
+  EXPECT_EQ(fd.deadline(3), Time::max());  // never started
+
+  // Activity: the detector's can-data.nty handler was registered first,
+  // so by the time this one runs the deadline has been restarted.
+  std::vector<can::NodeId> seen;
+  c->node(1).driver().on_data_nty([&](const Mid& mid) {
+    seen.push_back(mid.node);
+    const Time now = c->engine().now();
+    if (mid.node == 1) {
+      EXPECT_EQ(fd.deadline(1), now + params.heartbeat_period);
+    } else {
+      EXPECT_EQ(fd.deadline(2), now + remote_period);
+    }
+  });
+  c->node(2).send(1, std::array<std::uint8_t, 1>{2});
+  c->settle(Time::ms(1));
+  c->node(1).send(1, std::array<std::uint8_t, 1>{1});
+  c->settle(Time::ms(1));
+  EXPECT_EQ(seen, (std::vector<can::NodeId>{2, 1}));
+}
+
+TEST_F(FdTest, DeadlineIsMaxAfterStopAndAfterFdaNotification) {
+  start_all(4);
+  c->settle(Time::ms(20));
+  auto& fd = c->node(0).fd();
+  ASSERT_NE(fd.deadline(2), Time::max());
+  fd.fd_can_req_stop(2);
+  EXPECT_EQ(fd.deadline(2), Time::max());
+
+  c->node(3).crash();
+  c->settle(Time::ms(30));
+  for (std::size_t i : {0u, 1u, 2u}) {
+    ASSERT_EQ(ntys[i].size(), 1u) << "node " << i;
+    EXPECT_EQ(ntys[i][0].failed, 3);
+    EXPECT_FALSE(c->node(i).fd().monitoring(3));
+    EXPECT_EQ(c->node(i).fd().deadline(3), Time::max()) << "node " << i;
+  }
+  // Surveillance of the survivors goes on until it is stopped.
+  EXPECT_NE(fd.deadline(1), Time::max());
+  EXPECT_NE(fd.deadline(0), Time::max());
+  fd.fd_can_req_stop(0);
+  EXPECT_EQ(fd.deadline(0), Time::max());
+  EXPECT_NE(fd.deadline(1), Time::max());
+}
+
+TEST_F(FdTest, CrashedNodeFeedsNoPendingDeadline) {
+  start_all(4);
+  c->settle(Time::ms(20));
+  Node& node = c->node(0);
+  node.crash();  // cancels the surveillance tick with every other timer
+  sim::StateHasher expected;
+  for (can::NodeId r = 0; r < can::kMaxNodes; ++r) {
+    EXPECT_EQ(node.fd().deadline(r), Time::max()) << "id " << int{r};
+    expected.feed_bool(node.fd().monitoring(r));
+    expected.feed_time(Time::max());
+  }
+  sim::StateHasher actual;
+  node.fd().hash_state(actual);
+  EXPECT_EQ(actual.digest(), expected.digest());
+
+  // A deadline armed after the crash does not revive the cancelled ones.
+  node.fd().fd_can_req_start(2);
+  EXPECT_EQ(node.fd().deadline(2),
+            c->engine().now() + params.heartbeat_period +
+                params.tx_delay_bound);  // observer id 0: no skew
+  for (can::NodeId r : {0, 1, 3}) {
+    EXPECT_EQ(node.fd().deadline(r), Time::max()) << "id " << int{r};
+  }
+}
+
+struct Expiry {
+  can::NodeId peer;
+  Time at;
+};
+
+/// Node 0 of a four-node bus starts surveillance of `arm_order`, in that
+/// order, at t = 0; nobody else ever transmits.  Returns node 0's recorded
+/// events of `kind` over the first 50 ms.  Fig. 8's per-node timers would
+/// fire same-instant expiries in arm order — the engine runs same-instant
+/// events FIFO — and so must the single tick.
+std::vector<Expiry> node0_events(const Params& params,
+                                 const std::vector<can::NodeId>& arm_order,
+                                 obs::EventKind kind) {
+  sim::Engine engine;
+  can::Bus bus{engine};
+  obs::Recorder recorder;
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (can::NodeId i = 0; i < 4; ++i) {
+    nodes.push_back(std::make_unique<Node>(bus, i, params, nullptr,
+                                           i == 0 ? &recorder : nullptr));
+  }
+  for (can::NodeId r : arm_order) nodes[0]->fd().fd_can_req_start(r);
+  engine.run_until(Time::ms(50));
+  std::vector<Expiry> out;
+  for (std::size_t i = 0; i < recorder.ring().size(); ++i) {
+    const obs::Event& e = recorder.ring().at(i);
+    if (e.kind == kind) out.push_back({e.u.peer.peer, e.when});
+  }
+  return out;
+}
+
+TEST(FdOrder, SameInstantExpiriesFollowArmOrder) {
+  // Node 0 adds no skew, so its three remote deadlines share one instant.
+  Params params;
+  params.n = 4;
+  const auto suspects =
+      node0_events(params, {3, 1, 2}, obs::EventKind::kFdSuspect);
+  ASSERT_EQ(suspects.size(), 3u);
+  const Time due = params.heartbeat_period + params.tx_delay_bound;
+  const can::NodeId expected[] = {3, 1, 2};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(suspects[i].peer, expected[i]) << "suspicion " << i;
+    EXPECT_EQ(suspects[i].at, due) << "suspicion " << i;
+  }
+}
+
+TEST(FdOrder, LocalAndRemoteDeadlineTieExpiresInArmOrder) {
+  // With Ttd = 0, node 0's local and remote deadlines are both Th away.
+  Params params;
+  params.n = 4;
+  params.tx_delay_bound = Time::zero();
+  const std::vector<std::vector<can::NodeId>> orders{{0, 1}, {1, 0}};
+  for (const auto& order : orders) {
+    const auto expiries =
+        node0_events(params, order, obs::EventKind::kFdTimerExpire);
+    ASSERT_GE(expiries.size(), 2u);
+    EXPECT_EQ(expiries[0].peer, order[0]);
+    EXPECT_EQ(expiries[1].peer, order[1]);
+    EXPECT_EQ(expiries[0].at, params.heartbeat_period);
+    EXPECT_EQ(expiries[1].at, params.heartbeat_period);
+  }
+}
+
+TEST(FdFootprint, PendingAlarmsPerNodeDoNotGrowWithN) {
+  // A machine-independent work count: per-node timers come back as
+  // n + 1 pending alarms per node (one per monitored node), while the
+  // single surveillance tick plus the membership cycle timer keep it at
+  // a small constant for any n.
+  constexpr std::size_t kMaxPendingPerNode = 3;
+  for (std::size_t n : {8u, 32u, 64u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    Params params;
+    // Ttd covers the n-deep life-sign burst after a view change.
+    params.tx_delay_bound =
+        std::max(Time::ms(2), Time::us(125) * static_cast<std::int64_t>(n));
+    Cluster c{n, params};
+    c.join_all();
+    const can::NodeSet all = can::NodeSet::first_n(n);
+    while (!c.views_agree(all) && c.engine().now() < Time::sec(2)) {
+      c.settle(Time::ms(1));
+    }
+    ASSERT_TRUE(c.views_agree(all));
+    std::size_t worst = 0;
+    for (int ms = 0; ms < 1000; ++ms) {
+      c.settle(Time::ms(1));
+      for (std::size_t i = 0; i < n; ++i) {
+        worst = std::max(worst, c.node(i).timers().pending_count());
+      }
+    }
+    EXPECT_LE(worst, kMaxPendingPerNode);
+  }
 }
 
 }  // namespace
