@@ -31,8 +31,6 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "campaign/cli.hpp"
 #include "check/artifact.hpp"
 #include "check/explore.hpp"
@@ -40,7 +38,6 @@
 #include "check/shrink.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/recorder.hpp"
-#include "obs/telemetry.hpp"
 
 namespace {
 
@@ -65,14 +62,7 @@ void usage(std::ostream& os) {
         "  --shard i/N         run slice i of an N-way unit partition\n"
         "  --frontier FILE     checkpoint/resume frontier file\n"
         "  --checkpoint N      units per frontier checkpoint (default 16)\n"
-        "  --checkpoint-secs S also checkpoint every S seconds of wall\n"
-        "                      time (slow cells; default off)\n"
-        "  --telemetry FILE    append live canely-telemetry-1 JSONL\n"
-        "                      snapshots (watch with tools/canely_top)\n"
-        "  --telemetry-period MS  snapshot period (default 500, 0 = one\n"
-        "                      final snapshot only)\n"
         "  --stop-after N      stop after N units (frontier test hook)\n"
-        "  --cache-cells N     prefix-replay cache capacity (default 64)\n"
         "  --verify-every N    re-execute every N-th dedup skip (tripwire)\n"
         "  --merge OUT IN...   merge completed shard frontiers into OUT\n"
         "  --no-shrink         keep the first violating script as found\n"
@@ -234,8 +224,6 @@ int main(int argc, char** argv) {
   std::string artifact_path = "check_counterexample.json";
   std::string replay_path;
   std::string trace_path;
-  std::string telemetry_path;
-  std::uint64_t telemetry_period_ms = 500;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -294,16 +282,8 @@ int main(int argc, char** argv) {
       cfg.frontier_path = next("--frontier");
     } else if (arg == "--checkpoint") {
       cfg.checkpoint_every = std::stoul(next("--checkpoint"));
-    } else if (arg == "--checkpoint-secs") {
-      cfg.checkpoint_secs = std::stod(next("--checkpoint-secs"));
-    } else if (arg == "--telemetry") {
-      telemetry_path = next("--telemetry");
-    } else if (arg == "--telemetry-period") {
-      telemetry_period_ms = std::stoull(next("--telemetry-period"));
     } else if (arg == "--stop-after") {
       cfg.stop_after_units = std::stoul(next("--stop-after"));
-    } else if (arg == "--cache-cells") {
-      cfg.prefix_cache_cells = std::stoul(next("--cache-cells"));
     } else if (arg == "--verify-every") {
       cfg.dedup_verify_every = std::stoul(next("--verify-every"));
     } else if (arg == "--merge") {
@@ -339,29 +319,6 @@ int main(int argc, char** argv) {
   if (duration_ms > 0) cfg.scenario.duration = sim::Time::ms(duration_ms);
   if (!fda_on && !depth_set) cfg.depth = 2;
 
-  std::unique_ptr<obs::Telemetry> telemetry;
-  if (!telemetry_path.empty()) {
-    obs::TelemetryConfig tcfg;
-    tcfg.path = telemetry_path;
-    tcfg.sample_period_ms = telemetry_period_ms;
-    tcfg.label = "explore";
-    tcfg.shard_index = cfg.shard_index;
-    tcfg.shard_count = cfg.shard_count == 0 ? 1 : cfg.shard_count;
-    tcfg.frontier_path = cfg.frontier_path;
-    telemetry = std::make_unique<obs::Telemetry>(std::move(tcfg));
-    cfg.telemetry = telemetry.get();
-  }
-  // Period 0 = no sampling thread; leave exactly one line at exit.
-  struct FinalSample {
-    obs::Telemetry* t{nullptr};
-    ~FinalSample() {
-      if (t != nullptr) (void)t->sample_now();
-    }
-  } final_sample{telemetry_period_ms == 0 ? telemetry.get() : nullptr};
-
-  const bool record_mode = cfg.exhaustive || cfg.dedup ||
-                           cfg.shard_count > 1 || !cfg.frontier_path.empty() ||
-                           cfg.stop_after_units != 0;
   std::cout << "exploring n=" << nodes << " membership scenario, FDA "
             << (fda_on ? "on" : "OFF (ablated)") << ", depth " << cfg.depth
             << (cfg.exhaustive ? " (exhaustive)" : "") << ", threads ";
@@ -384,9 +341,10 @@ int main(int argc, char** argv) {
             << " (targeted " << result.frames_targeted << ")\n"
             << "placements enumerated:  " << result.placements << "\n"
             << "checked runs executed:  " << result.runs << "\n";
-  if (record_mode) {
-    std::cout << "probe runs:             " << result.probe_runs << " ("
-              << result.prefix_cache_hits << " cache hits)\n";
+  // Only the record-mode engine counts probes, and it always probes the
+  // fault-free run.
+  if (result.probe_runs != 0) {
+    std::cout << "probe runs:             " << result.probe_runs << "\n";
     if (cfg.dedup) {
       std::cout << "equivalence classes:    " << result.dedup_classes << " ("
                 << result.dedup_skips << " units skipped without simulation)"
@@ -456,8 +414,6 @@ int main(int argc, char** argv) {
               << shrunk.probes << " probes"
               << (shrunk.locally_minimal ? " (locally minimal)" : "")
               << "\n";
-    obs::telemetry_add(cfg.telemetry, obs::TelemetryCounter::kShrinkSteps,
-                       shrunk.probes);
     script = shrunk.script;
     violation = shrunk.violation;
   }

@@ -45,17 +45,6 @@ Runner::Runner(std::size_t threads) : threads_{threads} {
   }
 }
 
-void Runner::run_body(const std::function<void(std::size_t)>& body,
-                      std::size_t index) {
-  if (observer_ == nullptr) {
-    body(index);
-    return;
-  }
-  const std::uint64_t t0 = observer_->now_ns();
-  body(index);
-  observer_->on_run_complete(observer_->now_ns() - t0);
-}
-
 void Runner::dispatch(std::size_t count,
                       const std::function<void(std::size_t)>& body) {
   cancelled_.store(false, std::memory_order_relaxed);
@@ -66,7 +55,7 @@ void Runner::dispatch(std::size_t count,
     // byte-identical to.
     for (std::size_t i = 0; i < count; ++i) {
       if (cancelled()) break;
-      run_body(body, i);
+      body(i);
     }
     return;
   }
@@ -80,7 +69,7 @@ void Runner::dispatch(std::size_t count,
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
       try {
-        run_body(body, i);
+        body(i);
       } catch (...) {
         error.capture();
         cancel();  // a failing run aborts the campaign

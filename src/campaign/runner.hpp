@@ -34,23 +34,6 @@
 
 namespace canely::campaign {
 
-/// Passive run-completion observer (campaign telemetry seam).  The
-/// campaign layer sits inside the determinism zone, so it cannot read a
-/// wall clock itself; an observer that wants durations supplies its own
-/// clock through `now_ns()` and the runner merely brackets each run with
-/// it.  Implementations must be thread-safe (`on_run_complete` fires
-/// from every worker concurrently) and must not influence the runs —
-/// results stay byte-identical with or without an observer attached.
-class RunObserver {
- public:
-  virtual ~RunObserver() = default;
-  /// Monotonic wall-clock nanoseconds from the observer's own clock.
-  [[nodiscard]] virtual std::uint64_t now_ns() = 0;
-  /// One run finished; `dur_ns` is the bracket from this observer's
-  /// `now_ns` around the run body.
-  virtual void on_run_complete(std::uint64_t dur_ns) = 0;
-};
-
 /// Results of a campaign.  `results[i]` is meaningful iff `done[i]`.
 template <class T>
 struct Outcome {
@@ -77,11 +60,6 @@ class Runner {
   explicit Runner(std::size_t threads = 0);
 
   [[nodiscard]] std::size_t threads() const { return threads_; }
-
-  /// Attach a telemetry observer (non-owning, may be null).  Observed
-  /// runs produce the same bytes as unobserved ones — the observer only
-  /// counts and times them.
-  void set_observer(RunObserver* observer) { observer_ = observer; }
 
   /// Request cancellation: no further runs are claimed.  Sticky for the
   /// current `run()` call only; the next call starts afresh.
@@ -118,13 +96,8 @@ class Runner {
   void dispatch(std::size_t count,
                 const std::function<void(std::size_t)>& body);
 
-  /// body(i) bracketed by the observer's clock when one is attached.
-  void run_body(const std::function<void(std::size_t)>& body,
-                std::size_t index);
-
   std::size_t threads_;
   std::atomic<bool> cancelled_{false};
-  RunObserver* observer_{nullptr};
 };
 
 }  // namespace canely::campaign

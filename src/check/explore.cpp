@@ -4,16 +4,12 @@
 #include <exception>
 #include <map>
 #include <span>
-#include <thread>
 #include <utility>
 
 #include "campaign/grid.hpp"
 #include "campaign/runner.hpp"
 #include "canely/mid.hpp"
 #include "check/frontier.hpp"
-#include "check/prefix_cache.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/wall_clock.hpp"
 #include "sim/rng.hpp"
 
 namespace canely::check {
@@ -97,8 +93,7 @@ void placements_for(const TxLogEntry& entry, std::size_t max_victim_sets,
 /// aggregate order is enumeration order for any thread count).
 std::vector<Cell> run_batch(const ScenarioConfig& scenario,
                             const std::vector<FaultScript>& scripts,
-                            std::size_t threads, std::uint64_t seed,
-                            obs::Telemetry* telemetry) {
+                            std::size_t threads, std::uint64_t seed) {
   campaign::Grid grid;
   std::vector<double> axis(scripts.size());
   for (std::size_t i = 0; i < axis.size(); ++i) {
@@ -106,7 +101,6 @@ std::vector<Cell> run_batch(const ScenarioConfig& scenario,
   }
   grid.axis("placement", std::move(axis)).repeats(1).master_seed(seed);
   campaign::Runner runner{threads == 0 ? 0 : threads};
-  runner.set_observer(telemetry);  // counts runs + judge durations; null ok
   auto outcome = runner.run<Cell>(grid, [&](const campaign::RunSpec& spec) {
     return run_cell(scenario, scripts[spec.index]);
   });
@@ -115,18 +109,14 @@ std::vector<Cell> run_batch(const ScenarioConfig& scenario,
 
 void fold_batch(const std::vector<FaultScript>& scripts,
                 const std::vector<Cell>& cells, std::size_t index_base,
-                ExploreResult& result,
-                obs::Telemetry* telemetry = nullptr) {
+                ExploreResult& result) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     result.aggregate_hash = hash_cell(result.aggregate_hash, cells[i]);
     if (cells[i].violated) {
       result.violations.push_back(
           FoundViolation{index_base + i, scripts[i], cells[i].first});
-      obs::telemetry_add(telemetry, obs::TelemetryCounter::kViolations);
     }
   }
-  obs::telemetry_add(telemetry, obs::TelemetryCounter::kUnitsJudged,
-                     cells.size());
   result.placements += cells.size();
   result.runs += cells.size();
 }
@@ -218,26 +208,19 @@ class RecordExplorer {
  public:
   explicit RecordExplorer(const ExploreConfig& cfg)
       : cfg_{cfg},
-        tel_{cfg.telemetry},
         shard_count_{cfg.shard_count == 0 ? 1 : cfg.shard_count},
-        window_end_{window_end_for(cfg)},
-        cache_{cfg.prefix_cache_cells} {
-    if (cfg_.checkpoint_secs > 0 && !cfg_.frontier_path.empty()) {
-      checkpoint_period_ns_ = static_cast<std::uint64_t>(
-          cfg_.checkpoint_secs * 1'000'000'000.0);
-      last_checkpoint_ns_ = wall_ns();
-    }
-  }
+        window_end_{window_end_for(cfg)} {}
 
   ExploreResult run() {
     fingerprint_ = fingerprint();
     resume();
 
     // Fault-free probe: the attempt timeline every enumeration starts
-    // from (and the depth-1 prefix).
-    const PrefixProbe* base0 = probe(FaultScript{});
+    // from.  Held for the whole run: depth 1 keys every unit on its
+    // samples.
+    const RunResult base0 = probe(FaultScript{});
     std::vector<TxLogEntry> window;
-    for (const TxLogEntry& e : base0->tx_log) {
+    for (const TxLogEntry& e : base0.tx_log) {
       if (e.start < window_end_ && !e.receivers.empty()) {
         window.push_back(e);
       }
@@ -258,22 +241,13 @@ class RecordExplorer {
     }
 
     if (cfg_.depth <= 1) {
-      if (tel_ != nullptr) {
-        // Depth 1 knows its unit count exactly: one unit per owned
-        // placement.
-        std::uint64_t mine = 0;
-        for (std::uint64_t u = 0; u < placements.size(); ++u) {
-          if (u % shard_count_ == cfg_.shard_index) ++mine;
-        }
-        tel_->set_total_units(mine);
-      }
       for (std::uint64_t u = 0; u < placements.size() && !stopped_; ++u) {
         if (u % shard_count_ != cfg_.shard_index) continue;
         const FaultEvent& ev = placements[u].front();
         Unit unit;
         unit.u = u;
         unit.j = 0;
-        unit.key = unit_key(sample_state(base0->samples, ev.tx), ev);
+        unit.key = unit_key(sample_state(base0.samples, ev.tx), ev);
         unit.script = placements[u];
         push_unit(std::move(unit));
       }
@@ -283,33 +257,21 @@ class RecordExplorer {
         placements.resize(cfg_.max_bases);
         result_.partial = true;
       }
-      std::uint64_t my_bases = 0;
-      for (std::uint64_t u = 0; u < placements.size(); ++u) {
-        if (u % shard_count_ == cfg_.shard_index) ++my_bases;
-      }
-      std::uint64_t done_bases = 0;
       for (std::uint64_t u = 0; u < placements.size() && !stopped_; ++u) {
         if (u % shard_count_ != cfg_.shard_index) continue;
         process_base(u, placements[u]);
-        ++done_bases;
-        if (tel_ != nullptr && done_bases != 0) {
-          // Depth 2 reveals its unit space base by base; extrapolate the
-          // ETA hint from the per-base average so far.
-          tel_->set_total_units(enumerated_ * my_bases / done_bases);
-        }
       }
     }
     if (result_.dropped_victim_sets != 0) result_.partial = true;
 
     flush();
     if (!cfg_.frontier_path.empty()) {
-      write_checkpoint(/*complete=*/!stopped_);
+      write_frontier(cfg_.frontier_path, snapshot(/*complete=*/!stopped_));
     }
 
     result_.placements = records_.size();
     result_.aggregate_hash = fold_records(records_);
     result_.dedup_classes = classes_.size();
-    result_.prefix_cache_hits = cache_.stats().hits;
     return std::move(result_);
   }
 
@@ -355,8 +317,6 @@ class RecordExplorer {
     records_ = std::move(prior.records);
     resume_cursor_ = prior.cursor;
     result_.resumed = true;
-    obs::telemetry_add(tel_, obs::TelemetryCounter::kUnitsResumed,
-                       records_.size());
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const FrontierRecord& rec = records_[i];
       if (cfg_.dedup && classes_.find(rec.key) == classes_.end()) {
@@ -369,35 +329,27 @@ class RecordExplorer {
     }
   }
 
-  /// Probe run for a prefix script, via the LRU cache.  The returned view
-  /// stays valid until the next probe of a *different* prefix at cache
-  /// capacity — callers consume it before probing anything else.
-  const PrefixProbe* probe(const FaultScript& prefix) {
-    const std::uint64_t key = hash_script(prefix);
-    if (const PrefixProbe* hit = cache_.find(key)) {
-      obs::telemetry_add(tel_, obs::TelemetryCounter::kPrefixHits);
-      return hit;
-    }
-    obs::telemetry_add(tel_, obs::TelemetryCounter::kPrefixMisses);
-    obs::telemetry_add(tel_, obs::TelemetryCounter::kRuns);
+  /// Probe run for a prefix script: its tx log (the attempts to target)
+  /// and judge-time state samples (the dedup keys).  Each prefix is
+  /// probed once; the caller holds the result while it enumerates that
+  /// prefix's units.
+  RunResult probe(const FaultScript& prefix) {
     RunOptions opts;
     opts.want_tx_log = true;
     opts.want_samples = true;
     opts.sample_until = window_end_;
-    const obs::StageTimer timer{tel_, obs::TelemetryStage::kReplay};
-    const RunResult r = run_checked(cfg_.scenario, prefix, opts);
     ++result_.runs;
     ++result_.probe_runs;
-    return cache_.insert(key, r.tx_log, r.samples);
+    return run_checked(cfg_.scenario, prefix, opts);
   }
 
   /// Enumerate and push every second-fault unit of one base, in
   /// (target, victim mask, crash) order.
   void process_base(std::uint64_t u, const FaultScript& base) {
-    const PrefixProbe* p = probe(base);
+    const RunResult p = probe(base);
     const std::uint64_t base_tx = base.back().tx;
     std::vector<TxLogEntry> targets;
-    for (const TxLogEntry& e : p->tx_log) {
+    for (const TxLogEntry& e : p.tx_log) {
       if (e.tx_index <= base_tx || e.start >= window_end_ ||
           e.receivers.empty()) {
         continue;
@@ -413,7 +365,7 @@ class RecordExplorer {
     std::uint64_t j = 0;
     for (const TxLogEntry& target : targets) {
       if (stopped_) return;
-      const std::uint64_t state = sample_state(p->samples, target.tx_index);
+      const std::uint64_t state = sample_state(p.samples, target.tx_index);
       const std::vector<can::NodeId> pool = members(target.receivers);
       const std::uint64_t subsets = (1ULL << pool.size()) - 1;
       std::uint64_t used = 0;
@@ -460,17 +412,7 @@ class RecordExplorer {
     // batches for parallel efficiency — record content is chunk-size
     // invariant (keying is sequential in unit order either way).
     if (cfg_.frontier_path.empty() && cfg_.stop_after_units == 0) return 1024;
-    const std::size_t every =
-        cfg_.checkpoint_every == 0 ? 16 : cfg_.checkpoint_every;
-    if (checkpoint_period_ns_ != 0) {
-      // Time-based checkpointing needs frequent flush boundaries to poll
-      // the clock at; one parallel batch per flush keeps workers busy.
-      const std::size_t threads = cfg_.threads == 0
-                                      ? std::thread::hardware_concurrency()
-                                      : cfg_.threads;
-      return std::max<std::size_t>(1, std::min(every, threads));
-    }
-    return every;
+    return cfg_.checkpoint_every == 0 ? 16 : cfg_.checkpoint_every;
   }
 
   /// Resolve one chunk: sequential keying picks the units to simulate
@@ -482,21 +424,18 @@ class RecordExplorer {
     if (pending_.empty()) return;
     std::vector<std::size_t> to_run;
     std::map<std::uint64_t, std::size_t> claimed;
-    {
-      const obs::StageTimer timer{tel_, obs::TelemetryStage::kHash};
-      for (std::size_t i = 0; i < pending_.size(); ++i) {
-        const Unit& unit = pending_[i];
-        if (!cfg_.dedup) {
-          to_run.push_back(i);
-          continue;
-        }
-        if (classes_.find(unit.key) != classes_.end() ||
-            claimed.find(unit.key) != claimed.end()) {
-          continue;
-        }
-        claimed.emplace(unit.key, i);
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      const Unit& unit = pending_[i];
+      if (!cfg_.dedup) {
         to_run.push_back(i);
+        continue;
       }
+      if (classes_.find(unit.key) != classes_.end() ||
+          claimed.find(unit.key) != claimed.end()) {
+        continue;
+      }
+      claimed.emplace(unit.key, i);
+      to_run.push_back(i);
     }
 
     std::vector<FaultScript> scripts;
@@ -505,10 +444,8 @@ class RecordExplorer {
       scripts.push_back(pending_[idx].script);
     }
     const std::vector<Cell> cells =
-        run_batch(cfg_.scenario, scripts, cfg_.threads, cfg_.seed, tel_);
+        run_batch(cfg_.scenario, scripts, cfg_.threads, cfg_.seed);
     result_.runs += cells.size();
-    obs::telemetry_add(tel_, obs::TelemetryCounter::kUnitsJudged,
-                       cells.size());
 
     std::map<std::size_t, std::size_t> cell_of;
     for (std::size_t k = 0; k < to_run.size(); ++k) {
@@ -530,7 +467,6 @@ class RecordExplorer {
       } else {
         outcome = classes_.at(unit.key);
         ++result_.dedup_skips;
-        obs::telemetry_add(tel_, obs::TelemetryCounter::kDedupSkips);
         verify_skip(unit, outcome);
       }
       FrontierRecord rec;
@@ -543,51 +479,18 @@ class RecordExplorer {
         rec.script = unit.script;
         result_.violations.push_back(
             FoundViolation{records_.size(), unit.script, outcome.first});
-        obs::telemetry_add(tel_, obs::TelemetryCounter::kViolations);
       }
       records_.push_back(std::move(rec));
     }
-    units_since_checkpoint_ += pending_.size();
     pending_.clear();
 
     if (cfg_.stop_after_units != 0 &&
         records_.size() >= cfg_.stop_after_units) {
       stopped_ = true;
     }
-    if (!cfg_.frontier_path.empty() && checkpoint_due()) {
-      write_checkpoint(/*complete=*/false);
+    if (!cfg_.frontier_path.empty()) {
+      write_frontier(cfg_.frontier_path, snapshot(/*complete=*/false));
     }
-  }
-
-  /// Mid-run checkpoint policy.  Without a time trigger every flush
-  /// checkpoints (chunk == checkpoint_every, the unit-count trigger).
-  /// With `checkpoint_secs` set, chunks shrink so flushes land often and
-  /// a write happens when either trigger fires — enough units done, or
-  /// enough wall time gone — so slow cells still leave resumable state.
-  [[nodiscard]] bool checkpoint_due() const {
-    if (checkpoint_period_ns_ == 0) return true;
-    if (stopped_) return true;
-    if (units_since_checkpoint_ >=
-        (cfg_.checkpoint_every == 0 ? 16 : cfg_.checkpoint_every)) {
-      return true;
-    }
-    return wall_ns() - last_checkpoint_ns_ >= checkpoint_period_ns_;
-  }
-
-  void write_checkpoint(bool complete) {
-    const obs::StageTimer timer{tel_, obs::TelemetryStage::kCheckpointIo};
-    write_frontier(cfg_.frontier_path, snapshot(complete));
-    obs::telemetry_add(tel_, obs::TelemetryCounter::kCheckpoints);
-    units_since_checkpoint_ = 0;
-    if (checkpoint_period_ns_ != 0) last_checkpoint_ns_ = wall_ns();
-  }
-
-  /// Wall time for the checkpoint timer only — never feeds a simulation
-  /// (frontier *content* stays a pure function of the records).
-  [[nodiscard]] std::uint64_t wall_ns() const {
-    if (tel_ != nullptr) return tel_->now_ns();
-    return static_cast<std::uint64_t>(
-        obs::default_wall_clock().now().count());
   }
 
   /// Dedup tripwire: re-simulate every k-th skipped unit and compare its
@@ -596,7 +499,6 @@ class RecordExplorer {
   void verify_skip(const Unit& unit, const ClassOutcome& inherited) {
     if (cfg_.dedup_verify_every == 0) return;
     if (++verify_tick_ % cfg_.dedup_verify_every != 0) return;
-    obs::telemetry_add(tel_, obs::TelemetryCounter::kRuns);
     const Cell own = run_cell(cfg_.scenario, unit.script);
     ++result_.runs;
     ++result_.dedup_verified;
@@ -623,13 +525,8 @@ class RecordExplorer {
   }
 
   const ExploreConfig& cfg_;
-  obs::Telemetry* tel_;
   std::size_t shard_count_;
   sim::Time window_end_;
-  PrefixCache cache_;
-  std::uint64_t checkpoint_period_ns_{0};  ///< 0 = unit-count trigger only
-  std::uint64_t last_checkpoint_ns_{0};
-  std::size_t units_since_checkpoint_{0};
   ExploreResult result_;
   std::uint64_t fingerprint_{};
   std::uint64_t resume_cursor_{0};
@@ -656,7 +553,6 @@ ExploreResult explore(const ExploreConfig& cfg) {
   result.aggregate_hash = kFnvOffset;
 
   // Probe: map the fault-free attempt timeline.
-  obs::telemetry_add(cfg.telemetry, obs::TelemetryCounter::kRuns);
   const RunResult probe = run_checked(cfg.scenario, {}, /*want_tx_log=*/true);
   ++result.runs;
 
@@ -682,8 +578,8 @@ ExploreResult explore(const ExploreConfig& cfg) {
                      result.dropped_victim_sets);
     }
     const std::vector<Cell> cells =
-        run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed, cfg.telemetry);
-    fold_batch(scripts, cells, 0, result, cfg.telemetry);
+        run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed);
+    fold_batch(scripts, cells, 0, result);
   } else {
     // Depth 2: bases in deterministic order — life-sign attempts first
     // (an omitted ELS skews the victim's surveillance timer a whole Th
@@ -717,7 +613,6 @@ ExploreResult explore(const ExploreConfig& cfg) {
     }
     std::size_t index_base = 0;
     for (const FaultScript& base : bases) {
-      obs::telemetry_add(cfg.telemetry, obs::TelemetryCounter::kRuns);
       const RunResult probe2 =
           run_checked(cfg.scenario, base, /*want_tx_log=*/true);
       ++result.runs;
@@ -759,10 +654,9 @@ ExploreResult explore(const ExploreConfig& cfg) {
         }
       }
       const std::vector<Cell> cells =
-          run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed,
-                    cfg.telemetry);
+          run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed);
       const std::size_t before = result.violations.size();
-      fold_batch(scripts, cells, index_base, result, cfg.telemetry);
+      fold_batch(scripts, cells, index_base, result);
       index_base += cells.size();
       if (result.violations.size() > before) break;
     }
@@ -778,8 +672,8 @@ ExploreResult explore(const ExploreConfig& cfg) {
     }
     const std::size_t index_base = result.placements;
     const std::vector<Cell> cells =
-        run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed, cfg.telemetry);
-    fold_batch(scripts, cells, index_base, result, cfg.telemetry);
+        run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed);
+    fold_batch(scripts, cells, index_base, result);
   }
 
   return result;

@@ -37,10 +37,10 @@
 //    evolution (the harness is deterministic and monitors render
 //    verdicts only in finish()), so only the first unit of a class is
 //    simulated; the rest inherit its verdict as dedup skips.
-//  * Prefix-replay caching: all units of a base share the base's probe
-//    run (tx log + judge-time samples).  Probes live in an LRU
-//    PrefixCache and are computed once per base instead of once per
-//    placement — the dominant saving over naive re-run-from-zero.
+//  * One probe per base: all units of a base share the base's probe run
+//    (tx log + judge-time samples), executed once when the base is
+//    enumerated and held while its units are keyed — the dominant saving
+//    over re-running the shared prefix for every placement.
 //  * Sharding + frontier: shard i of N owns units with u % N == i; a
 //    frontier file checkpoints verdict records every `checkpoint_every`
 //    units (atomic rename), supports resume after a kill, and merges
@@ -66,10 +66,6 @@
 
 #include "check/fault_script.hpp"
 #include "check/harness.hpp"
-
-namespace canely::obs {
-class Telemetry;
-}  // namespace canely::obs
 
 namespace canely::check {
 
@@ -106,21 +102,9 @@ struct ExploreConfig {
   std::string frontier_path{};
   /// Units per processing chunk (= frontier checkpoint interval).
   std::size_t checkpoint_every{16};
-  /// Also checkpoint the frontier once this much wall time has elapsed
-  /// since the last write, so slow cells (deep scenarios, few units per
-  /// second) still leave resumable state behind.  0 = unit-count trigger
-  /// only.  Wall time comes from the telemetry handle's clock when one is
-  /// attached, else obs::default_wall_clock(); frontier *content* stays a
-  /// pure function of the records either way.
-  double checkpoint_secs{0};
-  /// Live campaign telemetry (non-owning, may be null).  Purely
-  /// observational — campaign output is byte-identical with it on or off.
-  obs::Telemetry* telemetry{nullptr};
   /// Test hook: stop (checkpoint, complete=false) once this many units
   /// are done.  0 = run to completion.
   std::size_t stop_after_units{0};
-  /// LRU capacity of the prefix-replay cache (probe runs retained).
-  std::size_t prefix_cache_cells{64};
   /// Tripwire: re-execute every k-th dedup skip and compare its verdict
   /// against the class representative's (0 = off).  Mismatches count in
   /// ExploreResult::dedup_mismatches — any nonzero value means the state
@@ -146,8 +130,12 @@ struct ExploreResult {
                                     ///< fold_records over the frontier)
 
   // -- record-mode accounting ----------------------------------------------
-  std::size_t probe_runs{0};         ///< prefix probes executed
-  std::size_t prefix_cache_hits{0};  ///< probes served from the cache
+  std::size_t probe_runs{0};         ///< probe runs: the fault-free one
+                                     ///< plus one per depth-2 base
+  /// Always 0: each base is probed exactly once, so no probe is ever
+  /// reused.  Kept only because benchmark/workloads.cpp reads it into the
+  /// explore ledgers; it goes when the benchmark drops that counter.
+  std::size_t prefix_cache_hits{0};
   std::size_t dedup_classes{0};      ///< distinct equivalence classes
   std::size_t dedup_skips{0};        ///< units resolved without simulation
   std::size_t dedup_verified{0};     ///< tripwire re-executions

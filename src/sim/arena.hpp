@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -43,21 +42,6 @@ class Arena {
           Finalizer{obj, [](void* q) { static_cast<T*>(q)->~T(); }});
     }
     return obj;
-  }
-
-  /// Carve an uninitialized-then-value-initialized array of `count` Ts
-  /// out of arena storage.  Restricted to trivially destructible element
-  /// types so the span needs no finalizer — the prefix cache
-  /// (src/check/prefix_cache.cpp) copies probe payloads into per-cell
-  /// arenas with this, and eviction is a plain reset().
-  template <typename T>
-  [[nodiscard]] std::span<T> alloc_span(std::size_t count) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "alloc_span elements are never finalized");
-    if (count == 0) return {};
-    T* p = static_cast<T*>(allocate(sizeof(T) * count, alignof(T)));
-    for (std::size_t i = 0; i < count; ++i) ::new (p + i) T();
-    return {p, count};
   }
 
   /// Destroy every object (reverse construction order — dependents die

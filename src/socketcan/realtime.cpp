@@ -1,9 +1,30 @@
 #include "socketcan/realtime.hpp"
 
+#include <thread>
+
 namespace canely::socketcan {
+namespace {
+
+class SteadyWallClock final : public WallClock {
+ public:
+  [[nodiscard]] std::chrono::nanoseconds now() override {
+    return std::chrono::steady_clock::now().time_since_epoch();
+  }
+  void sleep_for(std::chrono::microseconds d) override {
+    std::this_thread::sleep_for(d);
+  }
+};
+
+}  // namespace
+
+RealTimeRunner::RealTimeRunner(sim::Engine& engine, WallClock* clock)
+    : engine_{engine}, clock_{clock} {
+  static SteadyWallClock steady;
+  if (clock_ == nullptr) clock_ = &steady;
+}
 
 void RealTimeRunner::run_for(std::chrono::milliseconds wall) {
-  obs::WallClock& clock = *clock_;
+  WallClock& clock = *clock_;
 
   const auto start_wall = clock.now();
   const auto start_sim = engine_.now();

@@ -8,19 +8,29 @@
 #include <functional>
 #include <vector>
 
-#include "obs/wall_clock.hpp"
 #include "sim/engine.hpp"
 
 namespace canely::socketcan {
 
+/// The runner's view of wall time.  Production uses the steady clock and
+/// really sleeps; tests substitute a fake whose now() advances exactly as
+/// scripted (e.g. poll_interval per sleep_for()), so pacing is testable
+/// regardless of machine load (tests/test_socketcan.cpp).  src/socketcan
+/// is outside the lint determinism zone, so the real clock needs no
+/// suppression.
+class WallClock {
+ public:
+  virtual ~WallClock() = default;
+  [[nodiscard]] virtual std::chrono::nanoseconds now() = 0;
+  virtual void sleep_for(std::chrono::microseconds d) = 0;
+};
+
 class RealTimeRunner {
  public:
-  /// `clock` is non-owning and may be null (obs::default_wall_clock():
-  /// the steady clock and real sleeps).  Tests inject a fake so pacing
-  /// is exact regardless of the host scheduler.
-  explicit RealTimeRunner(sim::Engine& engine, obs::WallClock* clock = nullptr)
-      : engine_{engine},
-        clock_{clock != nullptr ? clock : &obs::default_wall_clock()} {}
+  /// `clock` is non-owning and may be null (std::chrono::steady_clock +
+  /// std::this_thread::sleep_for).  Tests inject a fake so pacing is
+  /// exact regardless of the host scheduler.
+  explicit RealTimeRunner(sim::Engine& engine, WallClock* clock = nullptr);
 
   /// Register a poller invoked every `poll_interval` of wall time
   /// (non-blocking socket drains, UI, ...).
@@ -41,7 +51,7 @@ class RealTimeRunner {
 
  private:
   sim::Engine& engine_;
-  obs::WallClock* clock_;  ///< never null after construction
+  WallClock* clock_;  ///< never null after construction
   std::vector<std::function<void()>> pollers_;
   std::chrono::microseconds poll_interval_{std::chrono::microseconds{200}};
 };

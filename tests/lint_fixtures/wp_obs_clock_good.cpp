@@ -1,6 +1,6 @@
 // Whole-program fixture, good twin: the same cross-TU wall-clock use,
-// annotated as a deliberate nondeterminism seam (the telemetry sampler
-// convention, src/obs/telemetry.cpp) — no finding.
+// annotated as a deliberate nondeterminism seam (the convention of the
+// client seam in src/can/controller.cpp) — no finding.
 namespace obsclock {
 long long wall_ns();
 long long sample_stamp() {

@@ -1,11 +1,13 @@
 // Tests for the checker subsystem (src/check): checked-run determinism,
 // invariant monitors on known-good and known-bad scripts, exploration
-// thread-count invariance, counterexample shrinking, and the replayable
-// artifact round-trip.
+// thread-count invariance, counterexample shrinking, the replayable
+// artifact round-trip, and the flight recording it embeds (Perfetto
+// re-export, v1 artifacts without one).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,8 @@
 #include "check/harness.hpp"
 #include "check/monitor.hpp"
 #include "check/shrink.hpp"
+#include "obs/perfetto.hpp"
+#include "obs/recorder.hpp"
 
 namespace canely::testing {
 namespace {
@@ -241,6 +245,108 @@ TEST(CheckArtifact, JsonRoundTripPreservesEverything) {
       check::run_checked(loaded.scenario, loaded.script);
   EXPECT_EQ(replayed.trace_hash, artifact.trace_hash);
   EXPECT_TRUE(violates(replayed, loaded.monitor));
+}
+
+// --- flight recorder ---------------------------------------------------------
+
+TEST(FlightRecorder, ArtifactRoundTripReplaysAndReExportsIdentically) {
+  const auto cfg = ScenarioConfig::membership(8, /*fda_on=*/false);
+  const FaultScript script = ablation_counterexample();
+  obs::Recorder rec;
+  const RunResult run =
+      check::run_checked(cfg, script, /*want_tx_log=*/false, &rec);
+  ASSERT_FALSE(run.violations.empty());
+  ASSERT_GT(rec.ring().size(), 0u);
+
+  check::Artifact artifact;
+  artifact.scenario = cfg;
+  artifact.script = script;
+  artifact.monitor = run.violations.front().monitor;
+  artifact.trace_hash = run.trace_hash;
+  artifact.violation = run.violations.front();
+  artifact.flight.present = true;
+  artifact.flight.ring_capacity = rec.ring().capacity();
+  artifact.flight.dropped = rec.ring().dropped();
+  for (std::size_t i = 0; i < rec.ring().size(); ++i) {
+    artifact.flight.events.push_back(rec.ring().at(i));
+  }
+  artifact.flight.has_metrics = true;
+  artifact.flight.metrics = rec.metrics().snapshot_json(true);
+
+  const std::string path = ::testing::TempDir() + "flight_roundtrip.json";
+  check::write_artifact(path, artifact);
+  const check::Artifact loaded = check::load_artifact(path);
+  std::remove(path.c_str());
+
+  // Flight payload survives byte-faithfully.
+  ASSERT_TRUE(loaded.flight.present);
+  EXPECT_EQ(loaded.flight.ring_capacity, artifact.flight.ring_capacity);
+  EXPECT_EQ(loaded.flight.dropped, artifact.flight.dropped);
+  ASSERT_EQ(loaded.flight.events.size(), artifact.flight.events.size());
+  for (std::size_t i = 0; i < loaded.flight.events.size(); ++i) {
+    const obs::Event& a = artifact.flight.events[i];
+    const obs::Event& b = loaded.flight.events[i];
+    ASSERT_EQ(a.kind, b.kind) << "event " << i;
+    EXPECT_EQ(a.when, b.when) << "event " << i;
+    EXPECT_EQ(a.node, b.node) << "event " << i;
+    if (a.kind == obs::EventKind::kFrameTx) {
+      EXPECT_EQ(a.u.frame.id, b.u.frame.id);
+      EXPECT_EQ(a.u.frame.bits, b.u.frame.bits);
+      EXPECT_EQ(a.u.frame.outcome, b.u.frame.outcome);
+    } else if (a.kind == obs::EventKind::kViewInstall) {
+      EXPECT_EQ(a.u.view.members, b.u.view.members);
+    }
+  }
+  ASSERT_TRUE(loaded.flight.has_metrics);
+
+  // A replay of the loaded artifact still reproduces the recorded run.
+  const RunResult replayed = check::run_checked(loaded.scenario, loaded.script);
+  EXPECT_EQ(replayed.trace_hash, loaded.trace_hash);
+
+  // The archived trace re-export is byte-identical to a live export of
+  // the same run (the contract check_explorer --replay --trace-out
+  // relies on).
+  const auto live_events = obs::build_trace_events(rec.ring());
+  const std::string live =
+      obs::render_trace_json(live_events, &rec.metrics(), rec.ring());
+  obs::EventRing ring{loaded.flight.ring_capacity};
+  for (const obs::Event& e : loaded.flight.events) ring.push(e);
+  const auto archived_events = obs::build_trace_events(ring);
+  const obs::RingStats stats{loaded.flight.ring_capacity,
+                             loaded.flight.events.size(),
+                             loaded.flight.dropped};
+  const std::string archived =
+      obs::render_trace_json(archived_events, &loaded.flight.metrics, stats);
+  EXPECT_EQ(live, archived);
+}
+
+TEST(FlightRecorder, V1ArtifactsStillLoadWithoutFlight) {
+  const auto cfg = ScenarioConfig::membership(8, /*fda_on=*/false);
+  check::Artifact artifact;
+  artifact.scenario = cfg;
+  artifact.script = ablation_counterexample();
+  artifact.monitor = "view-consistency";
+  artifact.trace_hash = 0x1234;
+  artifact.violation =
+      check::Violation{"view-consistency", sim::Time::ms(160), "detail"};
+
+  // A v1 file is exactly a v2 file minus the flight key and schema bump.
+  std::string v1 = check::artifact_json(artifact).dump(2);
+  const std::string::size_type at = v1.find("canely-check-2");
+  ASSERT_NE(at, std::string::npos);
+  v1.replace(at, std::string{"canely-check-2"}.size(), "canely-check-1");
+  const std::string path = ::testing::TempDir() + "flight_v1.json";
+  {
+    std::ofstream out{path, std::ios::binary};
+    out << v1;
+  }
+
+  const check::Artifact loaded = check::load_artifact(path);
+  std::remove(path.c_str());
+  EXPECT_FALSE(loaded.flight.present);
+  EXPECT_EQ(loaded.monitor, artifact.monitor);
+  EXPECT_EQ(loaded.trace_hash, artifact.trace_hash);
+  EXPECT_EQ(loaded.script, artifact.script);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Tests for the explorer's scale engine (record mode): shard-union
-// byte-identity, dedup-on vs dedup-off verdict equality, prefix-cache
-// replay against the from-scratch oracle, frontier resume-after-kill,
-// rejection of hostile frontier files, merge validation, and --shard
-// argument parsing.
+// byte-identity, dedup-on vs dedup-off verdict equality, one probe run
+// per base, frontier resume-after-kill, rejection of hostile frontier
+// files, merge validation, and --shard argument parsing.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "check/frontier.hpp"
 #include "check/harness.hpp"
 #include "check/json_reader.hpp"
-#include "check/prefix_cache.hpp"
 
 namespace canely::testing {
 namespace {
@@ -137,65 +135,27 @@ TEST(Frontier, DedupOnAndOffProduceIdenticalVerdicts) {
   std::remove(off.c_str());
 }
 
-// --- prefix cache vs from-scratch oracle ------------------------------------
+// --- one probe per base -----------------------------------------------------
 
-TEST(PrefixCache, ReplayMatchesFromScratchOracle) {
-  const auto scenario = ScenarioConfig::membership(8);
-  check::FaultScript base;
-  check::FaultEvent ev;
-  ev.tx = 12;
-  ev.op = check::FaultOp::kOmit;
-  ev.victims = can::NodeSet{3};
-  ev.crash_sender = true;
-  base.push_back(ev);
+TEST(Frontier, EachBaseIsProbedOnce) {
+  // The fault-free probe plus one probe per base (8 in the smoke budget);
+  // every other run simulates a class representative or re-executes a
+  // skip for the tripwire.
+  ExploreConfig cfg = smoke_config();
+  cfg.dedup_verify_every = 4;
+  const ExploreResult whole = check::explore(cfg);
+  EXPECT_EQ(whole.probe_runs, 9u);
+  EXPECT_EQ(whole.prefix_cache_hits, 0u);
+  EXPECT_GT(whole.dedup_verified, 0u);
+  EXPECT_EQ(whole.runs, whole.probe_runs +
+                            (whole.placements - whole.dedup_skips) +
+                            whole.dedup_verified);
 
-  check::RunOptions opts;
-  opts.want_tx_log = true;
-  opts.want_samples = true;
-  const check::RunResult oracle = check::run_checked(scenario, base, opts);
-  ASSERT_FALSE(oracle.tx_log.empty());
-  ASSERT_FALSE(oracle.samples.empty());
-
-  check::PrefixCache cache(4);
-  const std::uint64_t key = check::hash_script(base);
-  EXPECT_EQ(cache.find(key), nullptr);  // cold: miss
-  const check::PrefixProbe* probe =
-      cache.insert(key, oracle.tx_log, oracle.samples);
-  ASSERT_NE(probe, nullptr);
-
-  // A second from-scratch run is the oracle the cached replay must match
-  // entry for entry (the harness is deterministic, so it equals the first).
-  const check::RunResult fresh = check::run_checked(scenario, base, opts);
-  const check::PrefixProbe* hit = cache.find(key);
-  ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->tx_log.size(), fresh.tx_log.size());
-  for (std::size_t i = 0; i < fresh.tx_log.size(); ++i) {
-    EXPECT_EQ(hit->tx_log[i].tx_index, fresh.tx_log[i].tx_index);
-    EXPECT_EQ(hit->tx_log[i].transmitter, fresh.tx_log[i].transmitter);
-    EXPECT_EQ(hit->tx_log[i].receivers, fresh.tx_log[i].receivers);
-    EXPECT_EQ(hit->tx_log[i].start, fresh.tx_log[i].start);
-  }
-  ASSERT_EQ(hit->samples.size(), fresh.samples.size());
-  for (std::size_t i = 0; i < fresh.samples.size(); ++i) {
-    EXPECT_EQ(hit->samples[i].tx_index, fresh.samples[i].tx_index);
-    EXPECT_EQ(hit->samples[i].state_hash, fresh.samples[i].state_hash);
-  }
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(PrefixCache, LruEvictsLeastRecentlyUsedSlot) {
-  check::PrefixCache cache(2);
-  const std::vector<check::TxLogEntry> log(1);
-  const std::vector<check::StateSample> samples(1);
-  (void)cache.insert(10, log, samples);
-  (void)cache.insert(20, log, samples);
-  EXPECT_NE(cache.find(10), nullptr);  // refresh 10: 20 is now LRU
-  (void)cache.insert(30, log, samples);
-  EXPECT_EQ(cache.find(20), nullptr);
-  EXPECT_NE(cache.find(10), nullptr);
-  EXPECT_NE(cache.find(30), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  // Shard 0 of 2 owns bases 0, 2, 4 and 6, and still probes the
+  // fault-free run for the attempt timeline.
+  cfg.shard_count = 2;
+  cfg.shard_index = 0;
+  EXPECT_EQ(check::explore(cfg).probe_runs, 5u);
 }
 
 // --- resume after a kill -----------------------------------------------------

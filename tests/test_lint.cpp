@@ -483,8 +483,8 @@ TEST(LintWholeProgram, DeterminismEscapeConvictsAndAnnotationSilences) {
 }
 
 TEST(LintWholeProgram, ObsClockEscapeConvictsAndSeamAnnotationSilences) {
-  // src/obs is a determinism zone; the telemetry sampler's wall-clock
-  // use is legal only through an annotated seam.  The bad twin models an
+  // src/obs is a determinism zone, so a wall-clock use there is legal
+  // only through a `nondeterministic-ok` seam.  The bad twin models an
   // unannotated sampler calling a clock helper in a non-zone TU.
   const auto pair = [](const std::string& caller_fixture) {
     return std::vector<SourceFile>{

@@ -91,7 +91,7 @@ TEST(Gateway, LiveLoopbackIfAvailable) {
 /// Virtual wall clock: time advances only when the runner sleeps, so a
 /// run is a pure function of the poll interval — no host-scheduler
 /// dependence, hence exact (not banded) assertions under any CI load.
-class FakeWallClock final : public obs::WallClock {
+class FakeWallClock final : public WallClock {
  public:
   [[nodiscard]] std::chrono::nanoseconds now() override { return now_; }
   void sleep_for(std::chrono::microseconds d) override { now_ += d; }

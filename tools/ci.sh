@@ -6,9 +6,10 @@
 #   tools/ci.sh asan       AddressSanitizer + UBSan build, full ctest
 #   tools/ci.sh ubsan      UBSan-only build (catches UB that ASan's
 #                          shadow memory hides or alters), full ctest
-#   tools/ci.sh tsan       ThreadSanitizer build, campaign-runner tests
-#                          (the only code that spawns threads) + benches
-#                          at --threads 4
+#   tools/ci.sh tsan       ThreadSanitizer build, campaign-runner and
+#                          record-mode explorer tests (the only code that
+#                          spawns threads) + benches and the depth-2
+#                          explorer smoke at --threads 4
 #   tools/ci.sh bench      the repository benchmark (benchmark/run.py
 #                          --quick, its own Release build): every golden
 #                          output and per-window work count must match
@@ -64,15 +65,22 @@ stage_tsan() {
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" >/dev/null
   # Only the campaign runner spawns threads; build and exercise exactly
   # the targets that drive its pool, rather than the whole (serial) suite.
+  # The record-mode explorer (frontier tests, depth-2 smoke) is the
+  # engine behind the benchmark's 2-thread explore_d2 workload.
   cmake --build "$dir" -j "$JOBS" --target \
-    test_campaign fault_campaign fig10_bandwidth \
-    ablation_heartbeat ablation_cycle_skip ablation_fda
+    test_campaign test_frontier fault_campaign fig10_bandwidth \
+    ablation_heartbeat ablation_cycle_skip ablation_fda check_explorer
   "$dir/tests/test_campaign"
+  "$dir/tests/test_frontier"
   for bench in fault_campaign fig10_bandwidth ablation_heartbeat \
                ablation_cycle_skip ablation_fda; do
     echo "--- tsan: $bench --threads 4 ---"
     "$dir/bench/$bench" --threads 4 --no-json >/dev/null
   done
+  echo "--- tsan: check_explorer depth-2 smoke --threads 4 ---"
+  "$dir/bench/check_explorer" --exhaustive --max-frames 8 \
+    --max-victim-sets 4 --max-bases 8 --targets 2 --no-shrink \
+    --threads 4 >/dev/null
 }
 
 stage_ubsan() {
@@ -238,67 +246,6 @@ assert detect["count"] > 0, "no detection-latency samples"
 print(f"obs: {len(events)} trace events, spans balanced, 0 dropped, "
       f"detection latency max {detect['max']} us over "
       f"{detect['count']} samples")
-EOF
-
-  # Campaign telemetry: a sharded depth-2 run must stream valid
-  # canely-telemetry-1 JSONL that canely_top can reduce.  The JSONL is
-  # validated independently in Python (not through the C++ reader the
-  # tool itself uses) so a schema bug in writer AND reader still fails.
-  cmake --build "$dir" -j "$JOBS" --target check_explorer canely_top_tool
-  local tdir=build-ci/obs/telemetry
-  rm -rf "$tdir" && mkdir -p "$tdir"
-  local tcaps="--exhaustive --max-frames 8 --max-victim-sets 4 \
-               --max-bases 8 --targets 2 --no-shrink"
-  local s
-  for s in 0 1; do
-    # shellcheck disable=SC2086
-    "$dir/bench/check_explorer" $tcaps --shard "$s/2" \
-      --frontier "$tdir/f$s.json" --telemetry "$tdir/t$s.jsonl" \
-      --telemetry-period 50 --threads 2 >/dev/null
-  done
-  python3 - "$tdir/t0.jsonl" "$tdir/t1.jsonl" <<'EOF'
-import json, sys
-
-counters = ["runs", "units_judged", "dedup_skips", "units_resumed",
-            "prefix_cache_hits", "prefix_cache_misses", "violations",
-            "shrink_steps", "checkpoints"]
-stages = ["judge", "replay", "hash", "checkpoint_io"]
-total = 0
-for path in sys.argv[1:]:
-    with open(path) as f:
-        lines = [json.loads(l) for l in f if l.strip()]
-    assert lines, f"{path}: no snapshots"
-    prev_seq = 0
-    for snap in lines:
-        assert snap["schema"] == "canely-telemetry-1", snap.get("schema")
-        assert snap["seq"] > prev_seq, f"{path}: seq not monotone"
-        prev_seq = snap["seq"]
-        for c in counters:
-            assert isinstance(snap["counters"][c], int), c
-        for s in stages:
-            st = snap["stages"][s]
-            assert st["count"] == sum(st["buckets"]), f"{s}: bucket sum"
-    last = lines[-1]["counters"]
-    assert last["units_judged"] + last["dedup_skips"] > 0, \
-        f"{path}: no units accounted"
-    assert last["checkpoints"] > 0, f"{path}: no checkpoints recorded"
-    total += len(lines)
-print(f"obs: {total} telemetry snapshots across 2 shards, schema valid")
-EOF
-  # canely_top must reduce the same files to a machine-readable status.
-  "$dir/tools/canely_top" --once --json "$tdir/t0.jsonl" "$tdir/t1.jsonl" \
-    >"$tdir/status.json"
-  python3 - "$tdir/status.json" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["schema"] == "canely-top-1", doc.get("schema")
-assert len(doc["shards"]) == 2, doc["shards"]
-assert doc["total"]["done"] > 0, "no progress visible"
-assert doc["total"]["shards_complete"] == 2, "shards not complete"
-print(f"obs: canely_top sees {doc['total']['done']} units done, "
-      "both shard frontiers complete")
 EOF
 }
 
